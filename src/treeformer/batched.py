@@ -1,10 +1,13 @@
-"""Scheduled execution: the propagation units as rectangular batched ops.
+"""Scheduled execution: the propagation units as batched ops.
 
 Semantics must match the naive recursion exactly (up to float summation
-order): padded slots are zero-filled on gather, their attention scores are
-pushed to an underflow fill before softmax, and their outputs are never
-scattered back, so padding cannot influence any real node's state. A debug
-rng can overwrite padding with noise to let tests verify that claim.
+order). The bottom-up unit runs on rectangular padded buckets: padded slots
+are zero-filled on gather, their attention scores are pushed to an underflow
+fill before softmax, and only parent rows are scattered back, so padding
+cannot influence any real node's state. A debug rng can overwrite padding
+with noise to let tests verify that claim. The top-down unit is row-wise and
+runs once per depth on the unpadded rows of that depth, each with its
+parent's row.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ def batch_state_tensors(
     """Embed and propagate a batch; returns (X, S_up, S_down, schedule).
 
     Row layout follows ``schedule.row_index``. ``pad_rng``, when given, fills
-    padded slots with random values instead of zeros (leak testing only).
+    the bottom-up buckets' padded slots with random values instead of zeros
+    (leak testing only).
     """
     if schedule is None:
         schedule = build_schedule(trees)
@@ -65,23 +69,18 @@ def batch_state_tensors(
             token_plus1[row] = 0 if node.token_id is None else node.token_id + 1
     X = embed_rows(params, config, type_ids, token_plus1)
 
-    def padded_children(state: Tensor, bucket) -> Tensor:
-        B, w = bucket.child_rows.shape
-        H = reshape(gather_rows(state, bucket.child_rows.reshape(-1)), (B, w, d))
-        mask3 = bucket.mask[:, :, None].astype(dtype)
-        H = mul(H, constant(mask3))
-        if pad_rng is not None:
-            noise = pad_rng.standard_normal((B, w, d)).astype(dtype)
-            H = add(H, constant(noise * (1.0 - mask3)))
-        return H
-
     S = X
     for group in schedule.bottom_up_levels:
         parent_rows = []
         outs = []
         for bucket in group.buckets:
             B, w = bucket.child_rows.shape
-            Hc = padded_children(S, bucket)
+            Hc = reshape(gather_rows(S, bucket.child_rows.reshape(-1)), (B, w, d))
+            mask3 = bucket.mask[:, :, None].astype(dtype)
+            Hc = mul(Hc, constant(mask3))
+            if pad_rng is not None:
+                noise = pad_rng.standard_normal((B, w, d)).astype(dtype)
+                Hc = add(Hc, constant(noise * (1.0 - mask3)))
             e_par = reshape(gather_rows(X, bucket.parents), (B, 1, d))
             mask_add = ((1.0 - bucket.mask) * MASK_FILL).astype(dtype)[:, None, None, :]
             h = bottom_up_step(
@@ -101,17 +100,10 @@ def batch_state_tensors(
 
     D = S  # root rows stay as-is: the root's final state is its bottom-up state
     for group in schedule.top_down_levels:
-        child_rows = []
-        rows = []
-        for bucket in group.buckets:
-            B, w = bucket.child_rows.shape
-            Hup = padded_children(S, bucket)
-            h_par = reshape(gather_rows(D, bucket.parents), (B, 1, d))
-            out = reshape(top_down_step(h_par, Hup, params, config), (B * w, d))
-            real = np.flatnonzero(bucket.mask.reshape(-1))
-            rows.append(gather_rows(out, real))
-            child_rows.append(bucket.child_rows.reshape(-1)[real])
-        D = scatter_rows(D, np.concatenate(child_rows), concat(rows, axis=0))
+        (bucket,) = group.buckets
+        rows = bucket.child_rows[:, 0]
+        out = top_down_step(gather_rows(D, bucket.parents), gather_rows(S, rows), params, config)
+        D = scatter_rows(D, rows, out)
     return X, S, D, schedule
 
 

@@ -36,6 +36,7 @@ from .numerics import (
     softmax,
     transpose,
 )
+from .scheduler import _next_pow2
 from .trees import SyntaxNode, SyntaxTree, preorder
 
 
@@ -165,13 +166,6 @@ def sinusoidal_rows(n: int, d: int, base: float = 100.0) -> np.ndarray:
     return table
 
 
-def _pos_table_len(config: ModelConfig) -> int:
-    n = 1
-    while n < config.max_children:
-        n *= 2
-    return n
-
-
 def init_params(config: ModelConfig, seed: int = 0, dtype: str = "float64") -> ParamStore:
     """Seeded uniform fan-in initialization; layer norms start at identity."""
     rng = np.random.default_rng(seed)
@@ -195,7 +189,7 @@ def init_params(config: ModelConfig, seed: int = 0, dtype: str = "float64") -> P
         uniform(f"up.par.{proj}", d, d)
     uniform("up.frat.uq", d, d)
     uniform("up.frat.uk", d, d)
-    store.add_buffer("up.frat.pos", sinusoidal_rows(_pos_table_len(config), d))
+    store.add_buffer("up.frat.pos", sinusoidal_rows(_next_pow2(config.max_children), d))
 
     norm_pair("up.ln_frat")
     norm_pair("up.ln_attn")
@@ -402,7 +396,12 @@ def top_down_step(
     params: ParamStore,
     config: ModelConfig,
 ) -> Tensor:
-    """Children's final states from the parent's final state; purely row-wise."""
+    """Children's final states from the parent's final state; purely row-wise.
+
+    Takes one parent row per block of children (``[..., 1, d]`` against
+    ``[..., n, d]``) or, as the batched path does, flat ``[n, d]`` parent rows
+    aligned with ``[n, d]`` child rows.
+    """
     mixed = _ln(
         broadcast_add_row(H_children_up, h_parent_down), params, "down.ln_in", config
     )

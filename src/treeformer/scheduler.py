@@ -1,14 +1,16 @@
 """Level-synchronous execution plans for batched tree propagation.
 
 Bottom-up groups hold nodes of equal height (all children already computed);
-top-down groups hold nodes of equal depth (parents already computed). Within
-a group, nodes are laid out in power-of-two child-count buckets with explicit
-masks so the propagation units run as rectangular batched operations.
+within a group, nodes are laid out in power-of-two child-count buckets with
+explicit masks so the bottom-up unit runs as rectangular batched operations.
+Top-down groups hold nodes of equal depth (parents already computed) in one
+width-1 bucket without padding: the top-down unit is row-wise, so each row is
+one node and its parent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +32,9 @@ def _next_pow2(n: int) -> int:
 class Bucket:
     """Rectangular layout for one child-count range within a group.
 
-    Row ``b`` describes the children of ``parents[b]``; slots past the real
-    child count are padding and carry mask 0.
+    Bottom-up, row ``b`` describes the children of ``parents[b]``; slots past
+    the real child count are padding and carry mask 0. Top-down, the width is
+    1 and row ``b`` is one child, ``child_rows[b, 0]``, and its parent.
     """
 
     width: int
@@ -54,12 +57,9 @@ class Group:
 class Schedule:
     bottom_up_levels: list  # Group per height 1..max_height
     top_down_levels: list  # Group per depth 2..max_depth
-    row_offset: list
     row_index: list  # per tree: node_id -> global row
     n_rows: int
     max_depth: int
-    node_depths: list = field(repr=False, default=None)
-    node_heights: list = field(repr=False, default=None)
 
 
 def _bucketize(
@@ -96,55 +96,37 @@ def build_schedule(batch: list[SyntaxTree]) -> Schedule:
     """Plan bottom-up then top-down execution for a batch of valid trees."""
     if not batch:
         raise ValueError("empty batch")
-    row_offset: list[int] = []
     row_index: list[dict[int, int]] = []
     rows = 0
-    node_depths = []
-    node_heights = []
-    for tree in batch:
-        row_offset.append(rows)
-        index = {nid: rows + i for i, nid in enumerate(sorted(tree.nodes))}
-        row_index.append(index)
+    up: dict[int, tuple[list, list]] = {}  # height -> (entries, members)
+    down: dict[int, tuple[list, list]] = {}  # depth -> (entries, members)
+    for t, tree in enumerate(batch):
+        row_index.append({nid: rows + i for i, nid in enumerate(sorted(tree.nodes))})
         rows += len(tree)
-        node_depths.append(depths(tree))
-        node_heights.append(heights(tree))
+        for nid, h in heights(tree).items():
+            if h:
+                entries, members = up.setdefault(h, ([], []))
+                entries.append((t, nid, list(tree.node(nid).children)))
+                members.append((t, nid))
+        parent = parent_map(tree)
+        for nid, dp in depths(tree).items():
+            if dp > 1:
+                entries, members = down.setdefault(dp, ([], []))
+                entries.append((t, parent[nid], [nid]))
+                members.append((t, nid))
 
-    max_height = max(max(h.values()) for h in node_heights)
-    max_depth = max(max(d.values()) for d in node_depths)
-
-    bottom_up = []
-    for level in range(1, max_height + 1):
-        entries = []
-        members = []
-        for t, tree in enumerate(batch):
-            for nid, h in node_heights[t].items():
-                if h == level:
-                    entries.append((t, nid, list(tree.node(nid).children)))
-                    members.append((t, nid))
-        bottom_up.append(Group(members, _bucketize(entries, row_index)))
-
-    top_down = []
-    for level in range(2, max_depth + 1):
-        entries = []
-        members = []
-        for t, tree in enumerate(batch):
-            for nid, dp in node_depths[t].items():
-                if dp == level - 1 and tree.node(nid).children:
-                    entries.append((t, nid, list(tree.node(nid).children)))
-            for nid, dp in node_depths[t].items():
-                if dp == level:
-                    members.append((t, nid))
-        top_down.append(Group(members, _bucketize(entries, row_index)))
+    def groups(levels):
+        return [
+            Group(members, _bucketize(entries, row_index))
+            for _, (entries, members) in sorted(levels.items())
+        ]
 
     return Schedule(
-        bottom_up_levels=bottom_up,
-        top_down_levels=top_down,
-        row_offset=row_offset,
+        bottom_up_levels=groups(up),
+        top_down_levels=groups(down),
         row_index=row_index,
         n_rows=rows,
-        max_depth=max_depth,
-        node_depths=node_depths,
-        node_heights=node_heights,
+        max_depth=max(down, default=1),
     )
 
 
@@ -177,41 +159,45 @@ def check_schedule(schedule: Schedule, batch: list[SyntaxTree]) -> None:
         t, nid = sorted(every - computed)[0]
         fail(t, nid, "never scheduled in bottom-up order")
 
-    # Top-down: parents strictly before children, every non-root exactly once.
+    # Top-down: one width-1 bucket per depth whose row b pairs a non-root node
+    # (child_rows[b, 0]) with its parent's row; parents strictly before
+    # children, every non-root exactly once.
     parents = [parent_map(tree) for tree in batch]
+    node_at = {
+        row: (t, nid) for t, index in enumerate(schedule.row_index) for nid, row in index.items()
+    }
     reached = {(t, tree.root) for t, tree in enumerate(batch)}
     seen_down = set()
-    for group in schedule.top_down_levels:
+    for level, group in enumerate(schedule.top_down_levels, start=2):
+        bucket = group.buckets[0] if len(group.buckets) == 1 else None
+        n = len(bucket.parent_members) if bucket else 0
+        if bucket is None or bucket.child_rows.shape != (n, 1) or bucket.mask.shape != (n, 1):
+            raise DependencyViolation(f"top-down level {level} is not one width-1 bucket")
         produced_here = set()
-        covered = set()
-        for bucket in group.buckets:
-            for b, (t, pid) in enumerate(bucket.parent_members):
-                kids = batch[t].node(pid).children
-                if bucket.child_counts[b] != len(kids):
-                    fail(t, pid, "bucket child count mismatch")
-                for j, c in enumerate(kids):
-                    if bucket.child_rows[b, j] != schedule.row_index[t][c]:
-                        fail(t, pid, f"bucket child row mismatch at slot {j}")
-                    if bucket.mask[b, j] != 1.0:
-                        fail(t, pid, f"real slot {j} masked out")
-                    covered.add((t, c))
-                if bucket.mask[b, len(kids):].any():
-                    fail(t, pid, "padding slot unmasked")
-        for t, nid in group.members:
-            if (t, nid) in seen_down:
-                fail(t, nid, "scheduled twice in top-down order")
+        for b in range(n):
+            where = node_at.get(int(bucket.child_rows[b, 0]))
+            if where is None or where[0] >= n_trees:
+                raise DependencyViolation(f"top-down level {level}, row {b}: not a batch node")
+            t, nid = where
             parent = parents[t].get(nid)
             if parent is None:
                 fail(t, nid, "root listed in top-down order")
+            if bucket.parent_members[b] != (t, parent):
+                fail(t, nid, "bucket parent member mismatch")
+            if bucket.parents[b] != schedule.row_index[t][parent]:
+                fail(t, nid, "bucket parent row mismatch")
+            if bucket.child_counts[b] != 1 or bucket.mask[b, 0] != 1.0:
+                fail(t, nid, "top-down row masked out or miscounted")
             if (t, parent) not in reached:
                 fail(t, nid, f"parent {parent} not computed yet")
-            if (t, nid) not in covered:
-                fail(t, nid, "member missing from group buckets")
+            if (t, nid) in seen_down:
+                fail(t, nid, "scheduled twice in top-down order")
             produced_here.add((t, nid))
             seen_down.add((t, nid))
-        if covered - set(group.members):
-            t, nid = sorted(covered - set(group.members))[0]
-            fail(t, nid, "bucket covers a node outside the group")
+        if len(group.members) != n or set(group.members) != produced_here:
+            raise DependencyViolation(
+                f"top-down level {level}: group members and bucket rows disagree"
+            )
         reached |= produced_here
     all_nonroot = {
         (t, nid)

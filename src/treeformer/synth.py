@@ -408,16 +408,6 @@ def save_wrongop_corpus(out_dir, records: list[MutationRecord], seed: int) -> No
     )
 
 
-def save_node_corpus(out_dir, trees: list[SyntaxTree], seed: int, classes: int) -> None:
-    _write_corpus(
-        out_dir,
-        task="node-classify",
-        lines=[_line(t) for t in trees],
-        seed=seed,
-        extra={"node_classes": classes},
-    )
-
-
 def _line(tree: SyntaxTree) -> str:
     return json.dumps(tree_to_obj(tree, MINI_VOCAB), separators=(",", ":"), ensure_ascii=False)
 

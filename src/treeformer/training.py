@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .batched import batch_state_tensors, padded_tree_rows
+from .batched import _np_dtype, batch_state_tensors, padded_tree_rows
 from .minilang import operator_nodes
 from .model import ModelConfig, init_params
 from .numerics import (
@@ -176,7 +176,11 @@ class Metrics:
 
     def __post_init__(self):
         if self.loc_accuracy is not None and self.joint_accuracy is not None:
-            assert self.joint_accuracy <= self.loc_accuracy + 1e-12
+            if self.joint_accuracy > self.loc_accuracy + 1e-12:
+                raise ValueError(
+                    f"joint accuracy {self.joint_accuracy} exceeds"
+                    f" localization accuracy {self.loc_accuracy}"
+                )
 
     def to_dict(self) -> dict:
         out = {"task": self.task, "mean_loss": self.mean_loss, "samples": self.samples}
@@ -223,10 +227,6 @@ def model_config_for(config: TrainConfig, corpus: Corpus) -> ModelConfig:
 # ---------------------------------------------------------------------------
 # batched task forwards
 
-def _np_dtype(params: ParamStore):
-    return np.float64 if params.dtype == "float64" else np.float32
-
-
 def _pooled_logits(trees, params, cfg) -> Tensor:
     _, _, D, schedule = batch_state_tensors(trees, params, cfg)
     idx, mask = padded_tree_rows(schedule)
@@ -263,6 +263,9 @@ def _wrongop_forward(records, params, cfg):
 
 
 def _labeled_node_logits(trees, params, cfg):
+    """Logits, labels and (tree, node) of the labeled nodes; None if there are none."""
+    if not any(tree.node_labels for tree in trees):
+        return None
     _, _, D, schedule = batch_state_tensors(trees, params, cfg)
     rows, labels, where = [], [], []
     for t, tree in enumerate(trees):
@@ -270,14 +273,13 @@ def _labeled_node_logits(trees, params, cfg):
             rows.append(schedule.row_index[t][nid])
             labels.append(label)
             where.append((t, nid))
-    if not rows:
-        raise ValueError("node-classify batch contains no labeled nodes")
     picked = gather_rows(D, np.asarray(rows, dtype=np.intp))
     logits = linear(picked, params["head.node.w"], params["head.node.b"])
     return logits, np.asarray(labels, dtype=np.intp), where
 
 
-def _batch_loss(task, batch, params, cfg) -> Tensor:
+def _batch_loss(task, batch, params, cfg) -> Tensor | None:
+    """The batch's mean loss; None for a node-classify batch without labels."""
     if task == "classify":
         logits = _pooled_logits([t for t in batch], params, cfg)
         labels = [t.tree_label for t in batch]
@@ -297,7 +299,10 @@ def _batch_loss(task, batch, params, cfg) -> Tensor:
         )
         labels = np.array([rec.original_op for rec in batch], dtype=np.intp)
         return loss_wrongop(plogits, rlogits, targets, labels)
-    logits, labels, _ = _labeled_node_logits(batch, params, cfg)
+    labeled = _labeled_node_logits(batch, params, cfg)
+    if labeled is None:
+        return None
+    logits, labels, _ = labeled
     return loss_node_classify(logits, labels)
 
 
@@ -319,6 +324,8 @@ def _evaluate_params(
     n_nodes = 0
     data = corpus.records if task == "wrongop" else corpus.trees
     n = len(data)
+    if n == 0:
+        raise ValueError(f"cannot evaluate on an empty {task} corpus")
     base = 0
     for start in range(0, n, batch_size):
         batch = data[start : start + batch_size]
@@ -374,8 +381,8 @@ def _evaluate_params(
                             "gold_op": int(rec.original_op),
                         }
                     )
-        else:
-            logits, labels, where = _labeled_node_logits(batch, params, cfg)
+        elif (labeled := _labeled_node_logits(batch, params, cfg)) is not None:
+            logits, labels, where = labeled
             total_loss += loss_node_classify(logits, labels).item() * len(batch)
             preds = np.argmax(logits.data, axis=1)
             for (t, nid), p, g in zip(where, preds, labels):
@@ -526,6 +533,8 @@ def train(
             for start in range(0, n, config.batch_size):
                 batch = [data[int(i)] for i in order[start : start + config.batch_size]]
                 loss = _batch_loss(config.task, batch, params, cfg)
+                if loss is None:
+                    continue
                 if not np.isfinite(loss.item()):
                     raise NonFiniteGradient(f"non-finite loss at step {step + 1}")
                 params.zero_grads()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,18 @@ from treeformer.scheduler import (
     check_schedule,
     cost_report,
 )
-from treeformer.trees import depth, random_tree
+from treeformer.trees import depth, depths, parent_map, random_tree
+
+
+def mixed_forest(rng):
+    """A random forest with a single-node tree, a chain and a 16-child star."""
+    batch = [make_tree({}), chain(int(rng.integers(2, 9))), star(16)]
+    batch += [
+        random_tree(rng, int(rng.integers(1, 80)), int(rng.integers(1, 17)), 3, 3)
+        for _ in range(int(rng.integers(1, 6)))
+    ]
+    rng.shuffle(batch)
+    return batch
 
 
 class TestBuildSchedule:
@@ -54,6 +67,36 @@ class TestBuildSchedule:
         widths = [b.width for g in schedule.bottom_up_levels for b in g.buckets]
         assert widths == [8]
 
+    def test_top_down_levels_are_unpadded_rows(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            batch = mixed_forest(rng)
+            schedule = build_schedule(batch)
+            at_row = {
+                row: (t, nid)
+                for t, index in enumerate(schedule.row_index)
+                for nid, row in index.items()
+            }
+            for level, group in enumerate(schedule.top_down_levels, start=2):
+                (bucket,) = group.buckets
+                assert bucket.width == 1
+                assert bucket.mask.shape == (len(group.members), 1)
+                assert np.all(bucket.mask == 1.0)
+                assert np.all(bucket.child_counts == 1)
+                expected = sorted(
+                    (t, nid)
+                    for t, tree in enumerate(batch)
+                    for nid, dp in depths(tree).items()
+                    if dp == level
+                )
+                got = [at_row[int(r)] for r in bucket.child_rows[:, 0]]
+                assert sorted(got) == sorted(group.members) == expected
+                for b, (t, nid) in enumerate(got):
+                    parent = parent_map(batch[t])[nid]
+                    assert bucket.parents[b] == schedule.row_index[t][parent]
+                    assert bucket.parent_members[b] == (t, parent)
+            check_schedule(schedule, batch)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             build_schedule([])
@@ -76,7 +119,6 @@ class TestCheckSchedule:
         swapped = Schedule(
             bottom_up_levels=list(reversed(schedule.bottom_up_levels)),
             top_down_levels=schedule.top_down_levels,
-            row_offset=schedule.row_offset,
             row_index=schedule.row_index,
             n_rows=schedule.n_rows,
             max_depth=schedule.max_depth,
@@ -90,7 +132,6 @@ class TestCheckSchedule:
         truncated = Schedule(
             bottom_up_levels=schedule.bottom_up_levels[:-1],
             top_down_levels=schedule.top_down_levels,
-            row_offset=schedule.row_offset,
             row_index=schedule.row_index,
             n_rows=schedule.n_rows,
             max_depth=schedule.max_depth,
@@ -112,13 +153,74 @@ class TestCheckSchedule:
         tampered = Schedule(
             bottom_up_levels=[Group(group.members, [bad_bucket])],
             top_down_levels=schedule.top_down_levels,
-            row_offset=schedule.row_offset,
             row_index=schedule.row_index,
             n_rows=schedule.n_rows,
             max_depth=schedule.max_depth,
         )
         with pytest.raises(DependencyViolation):
             check_schedule(tampered, batch)
+
+
+def _tamper_row(group, **fields):
+    """The group with its one top-down bucket's arrays replaced."""
+    (bucket,) = group.buckets
+    return Group(group.members, [replace(bucket, **fields)])
+
+
+class TestCheckTopDown:
+    def _schedule(self):
+        batch = [make_tree({0: [1, 2], 1: [3, 4, 5], 2: [6]}), chain(4)]
+        return batch, build_schedule(batch)
+
+    def test_reversed_levels_rejected(self):
+        batch, schedule = self._schedule()
+        tampered = replace(schedule, top_down_levels=list(reversed(schedule.top_down_levels)))
+        with pytest.raises(DependencyViolation, match="not computed yet"):
+            check_schedule(tampered, batch)
+
+    def test_dropped_level_rejected(self):
+        batch, schedule = self._schedule()
+        tampered = replace(schedule, top_down_levels=schedule.top_down_levels[:-1])
+        with pytest.raises(DependencyViolation, match="never scheduled"):
+            check_schedule(tampered, batch)
+
+    def test_dropped_row_rejected(self):
+        batch, schedule = self._schedule()
+        levels = list(schedule.top_down_levels)
+        (bucket,) = levels[1].buckets
+        levels[1] = _tamper_row(
+            levels[1],
+            parents=bucket.parents[1:],
+            child_rows=bucket.child_rows[1:],
+            mask=bucket.mask[1:],
+            child_counts=bucket.child_counts[1:],
+            parent_members=bucket.parent_members[1:],
+        )
+        with pytest.raises(DependencyViolation, match="disagree"):
+            check_schedule(replace(schedule, top_down_levels=levels), batch)
+
+    def test_wrong_parent_row_rejected(self):
+        batch, schedule = self._schedule()
+        levels = list(schedule.top_down_levels)
+        (bucket,) = levels[1].buckets
+        wrong = bucket.parents.copy()
+        wrong[0] = schedule.row_index[0][0]  # the root: computed, but a grandparent
+        levels[1] = _tamper_row(levels[1], parents=wrong)
+        with pytest.raises(DependencyViolation, match="parent row mismatch"):
+            check_schedule(replace(schedule, top_down_levels=levels), batch)
+
+    def test_padded_level_rejected(self):
+        batch, schedule = self._schedule()
+        levels = list(schedule.top_down_levels)
+        (bucket,) = levels[0].buckets
+        levels[0] = _tamper_row(
+            levels[0],
+            width=2,
+            child_rows=np.pad(bucket.child_rows, ((0, 0), (0, 1))),
+            mask=np.pad(bucket.mask, ((0, 0), (0, 1))),
+        )
+        with pytest.raises(DependencyViolation, match="width-1"):
+            check_schedule(replace(schedule, top_down_levels=levels), batch)
 
 
 class TestCostReport:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from treeformer.training import (
     lr_schedule,
     train,
 )
+from treeformer.trees import random_tree
 
 
 def classify_corpus(classes=3, per_class=6, seed=0):
@@ -45,6 +47,24 @@ def wrongop_corpus(programs=12, seed=0):
         "vocabulary": MINI_VOCAB.to_obj(),
     }
     return Corpus("wrongop", [r.tree for r in records], records, MINI_VOCAB, meta)
+
+
+def node_corpus(labeled=6, trees=8, seed=0):
+    """Random trees, the first ``labeled`` of them with every node labeled."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(trees):
+        tree = random_tree(rng, 10, 3, 3, 3)
+        if i < labeled:
+            tree = replace(tree, node_labels={nid: nid % 2 for nid in tree.nodes})
+        out.append(tree)
+    meta = {
+        "task": "node-classify",
+        "node_classes": 2,
+        "seed": seed,
+        "vocabulary": MINI_VOCAB.to_obj(),
+    }
+    return Corpus("node-classify", out, None, MINI_VOCAB, meta)
 
 
 class TestLrSchedule:
@@ -136,7 +156,7 @@ class TestLosses:
 
 class TestMetrics:
     def test_joint_bounded_by_loc(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             Metrics("wrongop", 0.0, 1, loc_accuracy=0.4, joint_accuracy=0.5)
         m = Metrics("wrongop", 0.0, 1, loc_accuracy=0.5, joint_accuracy=0.5)
         assert m.joint_accuracy <= m.loc_accuracy
@@ -201,7 +221,39 @@ class TestTrainLoop:
         assert result.history[-1]["eval_accuracy"] >= 0.9
 
 
+class TestUnlabeledNodeBatches:
+    """Trees without node labels are allowed; a batch of only such trees is skipped."""
+
+    def test_train_takes_no_step_for_unlabeled_batch(self):
+        corpus = node_corpus()
+        # seed 3 shuffles the two unlabeled trees (6, 7) into one batch of 2
+        assert set(np.random.default_rng(3).permutation(8)[:2]) == {6, 7}
+        config = tiny_train_config(task="node-classify", batch_size=2, seed=3, epochs=1)
+        result = train(config, corpus)
+        assert result.steps == 3
+        assert math.isfinite(result.history[0]["train_loss"])
+
+    def test_evaluate_adds_no_nodes_for_unlabeled_batch(self, tmp_path):
+        corpus = node_corpus()
+        config = tiny_train_config(task="node-classify", batch_size=2, epochs=1)
+        result = train(config, corpus)
+        model = (result.params, result.model_config)
+        preds = tmp_path / "preds.jsonl"
+        metrics = evaluate(model, corpus, predictions_path=preds, batch_size=2)
+        labeled = replace(corpus, trees=corpus.trees[:6])
+        assert metrics.accuracy == evaluate(model, labeled, batch_size=2).accuracy
+        rows = preds.read_text().splitlines()
+        assert len(rows) == sum(len(t.node_labels) for t in corpus.trees[:6])
+
+
 class TestEvaluate:
+    def test_empty_corpus_rejected(self):
+        corpus = classify_corpus()
+        result = train(tiny_train_config(epochs=1), corpus)
+        empty = replace(corpus, trees=[])
+        with pytest.raises(ValueError, match="empty"):
+            evaluate((result.params, result.model_config), empty)
+
     def test_checkpoint_round_trip(self, tmp_path):
         corpus = classify_corpus()
         result = train(tiny_train_config(), corpus, eval_corpus=corpus, out_dir=tmp_path)
