@@ -7,8 +7,10 @@
 
 import numpy as np
 
+from treeformer.batched import batch_state_tensors
 from treeformer.minilang import MINI_VOCAB, parse
-from treeformer.model import ModelConfig, embed_node, encode_tree, init_params, pool
+from treeformer.model import ModelConfig, embed_node, encode_tree, init_params
+from treeformer.training import pooled_rows
 from treeformer.trees import leaves
 
 tree = parse("s = 0; while (s < 9) { s = s + 2; }")
@@ -41,6 +43,8 @@ batched = encode_tree(tree, params, config, method="batched")
 worst = max(np.abs(states.down[n] - batched.down[n]).max() for n in tree.nodes)
 print(f"|batched - naive| max:   {worst:.2e}")
 
-# gated softmax pooling turns node states into one tree vector
-h_tree = pool(states, params)
+# gated softmax pooling, the classification head's input, turns the final
+# node states of each tree in a batch into one tree vector
+_, _, D, schedule = batch_state_tensors([tree], params, config)
+h_tree = pooled_rows(D, schedule, params).data[0]
 print(f"pooled tree vector: shape {h_tree.shape}, norm {np.linalg.norm(h_tree):.3f}")

@@ -9,9 +9,8 @@
 import numpy as np
 
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes
-from treeformer.model import encode_tree, pointer_head, repair_head
 from treeformer.synth import Corpus, gen_wrongop_corpus
-from treeformer.training import TrainConfig, train
+from treeformer.training import TrainConfig, task_forward, train
 
 records = gen_wrongop_corpus(1200, 2, seed=11)
 meta = {
@@ -37,13 +36,13 @@ for row in result.history:
         f"loc+repair {row['eval_joint_accuracy']:.3f}"
     )
 
-# look at one prediction in detail
+# look at one prediction in detail: the batched heads score every candidate
+# operator of every tree, and the repair is read at the located candidate
+out = task_forward("wrongop", test_corpus.records[:8], result.params, result.model_config)
 record = test_corpus.records[0]
-states = encode_tree(record.tree, result.params, result.model_config)
-candidates = operator_nodes(record.tree)
-logits = pointer_head(states, candidates, result.params)
-located = candidates[int(np.argmax(logits))]
-repair = int(np.argmax(repair_head(states.down[located], result.params)))
+slot = int(np.argmax(out.logits[0]))
+located = out.nodes[0][slot]
+repair = int(np.argmax(out.repair_logits[0, slot]))
 corrupted_symbol = MINI_VOCAB.token_symbol(record.tree.node(record.target_node).token_id)
 print(
     f"\nsample 0: corrupted node {record.target_node} ({corrupted_symbol!r}), "

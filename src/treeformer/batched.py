@@ -127,15 +127,3 @@ def encode_batch(
         )
     return out
 
-
-def padded_tree_rows(schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tree global row indices padded to the widest tree, plus a mask."""
-    widths = [len(index) for index in schedule.row_index]
-    width = max(widths)
-    idx = np.zeros((len(widths), width), dtype=np.intp)
-    mask = np.zeros((len(widths), width), dtype=np.float64)
-    for t, index in enumerate(schedule.row_index):
-        rows = [index[nid] for nid in sorted(index)]
-        idx[t, : len(rows)] = rows
-        mask[t, : len(rows)] = 1.0
-    return idx, mask

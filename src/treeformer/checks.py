@@ -13,7 +13,7 @@ from .minilang import MINI_VOCAB, parse
 from .model import ModelConfig, init_params
 from .numerics import ParamStore, grad_check
 from .synth import mutate_operator
-from .training import _batch_loss
+from .training import task_forward
 
 _CLASSIFY_SOURCES = ["s = s + i;", "p = p * 2;"]
 _WRONGOP_SOURCES = ["s = a + b * 2;", "if (i < n) { s = s + 1; }"]
@@ -73,6 +73,6 @@ def full_model_gradcheck(
     batch = _batch(task, seed)
 
     def loss(p: ParamStore):
-        return _batch_loss(task, batch, p, cfg)
+        return task_forward(task, batch, p, cfg).loss
 
     return grad_check(loss, params, eps=eps)

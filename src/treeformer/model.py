@@ -1,4 +1,4 @@
-"""Recursive attention encoder over syntax trees, plus the task heads.
+"""Recursive attention encoder over syntax trees.
 
 A tree is encoded in two passes sharing one bottom-up and one top-down unit
 across all levels. Bottom-up, each interior node attends over its children:
@@ -9,7 +9,9 @@ feed-forward layer with layer norms finishes the state. Top-down, a parent's
 final state is broadcast-added onto its children's bottom-up states and
 passed through a second feed-forward unit; the root's top-down state is its
 bottom-up state. Node vectors after the top-down pass are the final
-representations; a gated softmax pool turns them into one tree vector.
+representations. The task heads on top of them (a gated softmax pool for
+tree classification, a pointer and a repair head for wrong operators, and a
+per-node classifier) run batched, in ``training.task_forward``.
 """
 
 from __future__ import annotations
@@ -45,14 +47,6 @@ class BranchingOverflow(ValueError):
 
 
 class VocabularyOverflow(ValueError):
-    pass
-
-
-class EmptyCandidateSet(ValueError):
-    pass
-
-
-class HeadMismatch(ValueError):
     pass
 
 
@@ -499,53 +493,3 @@ def encode_tree(
 
         return encode_batch([tree], params, config)[0]
     raise ValueError(f"unknown method {method!r}")
-
-
-# ---------------------------------------------------------------------------
-# pooling and task heads
-
-def pool_rows(D: Tensor, params: ParamStore) -> Tensor:
-    """Gated softmax pool of node rows [N, d] into one [1, d] tree vector."""
-    gates = reshape(matmul(D, params["pool.gate"]), (1, D.shape[0]))
-    return matmul(softmax(gates), D)
-
-
-def pool(states: NodeStates, params: ParamStore) -> np.ndarray:
-    rows = constant(np.stack([states.down[i] for i in sorted(states.down)]))
-    return pool_rows(rows, params).data[0]
-
-
-def _require_head(params: ParamStore, name: str, task: str):
-    if name not in params:
-        raise HeadMismatch(f"parameters carry no {task} head")
-
-
-def classify_head(h_tree: np.ndarray, params: ParamStore) -> np.ndarray:
-    _require_head(params, "head.classify.w", "classification")
-    out = linear(constant(h_tree.reshape(1, -1)), params["head.classify.w"], params["head.classify.b"])
-    return out.data[0]
-
-
-def pointer_head(
-    states: NodeStates, candidates: list[int], params: ParamStore
-) -> np.ndarray:
-    """Per-candidate localization logits from a shared d->1 map over h_down."""
-    _require_head(params, "head.pointer.w", "wrong-operator")
-    if not candidates:
-        raise EmptyCandidateSet("pointer head needs at least one candidate node")
-    w = params["head.pointer.w"].data[:, 0]
-    # one dot per candidate: BLAS batches round per row position, which would
-    # give equal-content candidates unequal logits
-    return np.array([states.down[i] @ w for i in candidates])
-
-
-def repair_head(h_down: np.ndarray, params: ParamStore) -> np.ndarray:
-    _require_head(params, "head.repair.w", "wrong-operator")
-    out = linear(constant(h_down.reshape(1, -1)), params["head.repair.w"], params["head.repair.b"])
-    return out.data[0]
-
-
-def node_classify_head(h_down: np.ndarray, params: ParamStore) -> np.ndarray:
-    _require_head(params, "head.node.w", "node classification")
-    out = linear(constant(h_down.reshape(1, -1)), params["head.node.w"], params["head.node.b"])
-    return out.data[0]

@@ -9,7 +9,9 @@ bit-identical outputs within one precision mode.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -441,7 +443,11 @@ class ParamStore:
 
 
 def save_checkpoint(store: ParamStore, manifest_path, blob_path=None, extra: dict | None = None):
-    """Write a JSON manifest plus one raw little-endian blob; round-trip is bit-exact."""
+    """Write a JSON manifest plus one raw little-endian blob; round-trip is bit-exact.
+
+    The manifest records the blob's length and sha256. Each file is written
+    to a temporary name and renamed into place.
+    """
     manifest_path = str(manifest_path)
     blob_path = str(blob_path) if blob_path else manifest_path + ".bin"
     entries = []
@@ -463,25 +469,38 @@ def save_checkpoint(store: ParamStore, manifest_path, blob_path=None, extra: dic
         )
         chunks.append(raw)
         offset += len(raw)
+    blob = b"".join(chunks)
     manifest = {
-        "format_version": 1,
+        "format_version": 2,
         "dtype": store.dtype,
         "blob": blob_path.rsplit("/", 1)[-1],
+        "blob_bytes": len(blob),
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "tensors": entries,
         "extra": extra or {},
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with open(blob_path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    # blob first: a manifest never names a partly written blob, and a stale
+    # manifest left beside a new blob fails the sha256 check on load
+    _replace_atomically(blob_path, blob)
+    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    _replace_atomically(manifest_path, text.encode("utf-8"))
+
+
+def _replace_atomically(path: str, data: bytes) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(manifest_path, blob_path=None) -> tuple[ParamStore, dict]:
+    """Read a checkpoint; a blob whose length or sha256 differs from the manifest's is refused."""
     manifest_path = str(manifest_path)
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format_version") != 1:
+    if manifest.get("format_version") != 2:
         raise CheckpointError(
             f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
         )
@@ -490,6 +509,13 @@ def load_checkpoint(manifest_path, blob_path=None) -> tuple[ParamStore, dict]:
         blob_path = prefix + "/" + manifest["blob"]
     with open(blob_path, "rb") as fh:
         blob = fh.read()
+    if len(blob) != manifest["blob_bytes"]:
+        raise CheckpointError(
+            f"{blob_path}: {len(blob)} bytes, manifest {manifest_path} records"
+            f" {manifest['blob_bytes']}"
+        )
+    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+        raise CheckpointError(f"{blob_path}: sha256 differs from manifest {manifest_path}")
     store = ParamStore(dtype=manifest["dtype"])
     for entry in manifest["tensors"]:
         dtype = np.dtype(entry["dtype"])

@@ -432,6 +432,31 @@ def _write_corpus(out_dir, task: str, lines: list[str], seed: int, extra: dict) 
         fh.write("\n")
 
 
+def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> MutationRecord:
+    """One wrongop corpus line; a bad line raises ValueError naming the file and line."""
+    where = f"{path} line {lineno}"
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: bad JSON: {exc}") from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("mutation"), dict):
+        raise ValueError(f"{where}: no mutation object")
+    mut = obj.pop("mutation")
+    try:
+        target, original, corrupted = (
+            int(mut[key]) for key in ("target_node", "original_op", "corrupted_op")
+        )
+        source_hash = mut["source_hash"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: bad mutation {mut!r}: {exc!r}") from exc
+    tree = tree_from_obj(obj, vocab, lineno)
+    if target not in operator_nodes(tree, vocab):
+        raise ValueError(f"{where}: target_node {target} is not an operator leaf")
+    if not 0 <= original < len(OPS_MINI):
+        raise ValueError(f"{where}: original_op {original} outside the {len(OPS_MINI)} operators")
+    return MutationRecord(tree, target, original, corrupted, source_hash)
+
+
 def load_corpus(corpus_dir) -> Corpus:
     with open(os.path.join(corpus_dir, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -439,21 +464,11 @@ def load_corpus(corpus_dir) -> Corpus:
     task = meta["task"]
     trees_path = os.path.join(corpus_dir, "trees.jsonl")
     if task == "wrongop":
-        records = []
         with open(trees_path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                obj = json.loads(raw)
-                mut = obj.pop("mutation")
-                tree = tree_from_obj(obj, vocab, lineno)
-                records.append(
-                    MutationRecord(
-                        tree,
-                        int(mut["target_node"]),
-                        int(mut["original_op"]),
-                        int(mut["corrupted_op"]),
-                        mut["source_hash"],
-                    )
-                )
+            records = [
+                _record_from_line(raw, vocab, trees_path, lineno)
+                for lineno, raw in enumerate(fh, start=1)
+            ]
         return Corpus(task, [r.tree for r in records], records, vocab, meta)
     trees = list(iter_tree_lines(trees_path, vocab))
     return Corpus(task, trees, None, vocab, meta)

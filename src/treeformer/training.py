@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .batched import _np_dtype, batch_state_tensors, padded_tree_rows
+from .batched import batch_state_tensors
 from .minilang import operator_nodes
 from .model import ModelConfig, init_params
 from .numerics import (
@@ -36,8 +36,10 @@ from .numerics import (
     scale,
     select_columns,
     set_check_finite,
+    softmax,
     sum_all,
 )
+from .scheduler import Schedule
 from .synth import Corpus
 from .trees import branching_stats
 
@@ -146,20 +148,12 @@ def cross_entropy(logits, labels) -> Tensor:
     return scale(neg(sum_all(picked)), 1.0 / n)
 
 
-def loss_classify(logits, label) -> Tensor:
-    return cross_entropy(logits, label)
-
-
 def loss_wrongop(pointer_logits, repair_logits, target_index, repair_label) -> Tensor:
     """Localization plus repair cross-entropies, summed unweighted."""
     return add(
         cross_entropy(pointer_logits, target_index),
         cross_entropy(repair_logits, repair_label),
     )
-
-
-def loss_node_classify(logits, labels) -> Tensor:
-    return cross_entropy(logits, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -225,186 +219,148 @@ def model_config_for(config: TrainConfig, corpus: Corpus) -> ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# batched task forwards
+# the batched task heads: one forward per task for training, evaluation and gradcheck
 
-def _pooled_logits(trees, params, cfg) -> Tensor:
+@dataclass
+class TaskForward:
+    """One batch through the encoder and its task head.
+
+    ``logits`` and ``targets`` hold one row per item: tree-class logits and
+    labels (classify), node-class logits and labels of the labeled nodes
+    (node-classify), or each tree's pointer logits over its candidate slots,
+    padding at ``MASK_FILL``, and the gold candidate's slot (wrongop).
+    """
+
+    loss: Tensor | None  # mean over the items; None when the batch has none
+    items: int  # trees for classify and wrongop, labeled nodes for node-classify
+    logits: np.ndarray
+    targets: np.ndarray
+    nodes: list | None = None  # wrongop: candidate ids per tree; node-classify: (tree, node id)
+    repair_logits: np.ndarray | None = None  # wrongop: [trees, slots, operator classes]
+    repair_targets: np.ndarray | None = None  # wrongop: original operator per tree
+
+
+def pooled_rows(D: Tensor, schedule: Schedule, params: ParamStore) -> Tensor:
+    """Gated softmax pool of each tree's final node rows: one [B, d] row per tree."""
+    widths = [len(index) for index in schedule.row_index]
+    b, width, d = len(widths), max(widths), D.shape[1]
+    idx = np.zeros((b, width), dtype=np.intp)
+    fill = np.full((b, width), MASK_FILL, dtype=D.dtype)
+    for t, index in enumerate(schedule.row_index):
+        idx[t, : widths[t]] = [index[nid] for nid in sorted(index)]
+        fill[t, : widths[t]] = 0.0
+    rows = reshape(gather_rows(D, idx.reshape(-1)), (b, width, d))
+    gates = add(reshape(matmul(rows, params["pool.gate"]), (b, width)), constant(fill))
+    weights = reshape(softmax(gates), (b, 1, width))
+    return reshape(matmul(weights, rows), (b, d))
+
+
+def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -> TaskForward:
+    """Encode ``batch`` (trees, or mutation records for wrongop) once and apply the task head."""
+    trees = [r.tree for r in batch] if task == "wrongop" else batch
+    if task == "node-classify" and not any(tree.node_labels for tree in trees):
+        return TaskForward(None, 0, np.zeros((0, cfg.node_classes)), np.zeros(0, np.intp), [])
     _, _, D, schedule = batch_state_tensors(trees, params, cfg)
-    idx, mask = padded_tree_rows(schedule)
-    b, width = idx.shape
-    rows = reshape(gather_rows(D, idx.reshape(-1)), (b, width, cfg.d))
-    gates = reshape(matmul(rows, params["pool.gate"]), (b, width))
-    gates = add(gates, constant(((1.0 - mask) * MASK_FILL).astype(_np_dtype(params))))
-    from .numerics import softmax as _softmax
-
-    weights = reshape(_softmax(gates), (b, 1, width))
-    pooled = reshape(matmul(weights, rows), (b, cfg.d))
-    return linear(pooled, params["head.classify.w"], params["head.classify.b"])
-
-
-def _wrongop_forward(records, params, cfg):
-    """Returns (pointer_logits [B,K] Tensor, cand rows/ids, D, schedule)."""
-    trees = [r.tree for r in records]
-    _, _, D, schedule = batch_state_tensors(trees, params, cfg)
-    cands = [operator_nodes(r.tree) for r in records]
-    width = max(len(c) for c in cands)
-    b = len(records)
-    cidx = np.zeros((b, width), dtype=np.intp)
-    cmask = np.zeros((b, width), dtype=np.float64)
-    for i, cand in enumerate(cands):
-        rows = [schedule.row_index[i][nid] for nid in cand]
-        cidx[i, : len(rows)] = rows
-        cmask[i, : len(rows)] = 1.0
-    crows = reshape(gather_rows(D, cidx.reshape(-1)), (b, width, cfg.d))
-    plogits = reshape(matmul(crows, params["head.pointer.w"]), (b, width))
-    plogits = add(
-        plogits, constant(((1.0 - cmask) * MASK_FILL).astype(_np_dtype(params)))
-    )
-    return plogits, cands, D, schedule
-
-
-def _labeled_node_logits(trees, params, cfg):
-    """Logits, labels and (tree, node) of the labeled nodes; None if there are none."""
-    if not any(tree.node_labels for tree in trees):
-        return None
-    _, _, D, schedule = batch_state_tensors(trees, params, cfg)
+    if task == "classify":
+        logits = linear(
+            pooled_rows(D, schedule, params), params["head.classify.w"], params["head.classify.b"]
+        )
+        labels = np.array([t.tree_label for t in trees], dtype=np.intp)
+        return TaskForward(cross_entropy(logits, labels), len(trees), logits.data, labels)
+    if task == "wrongop":
+        cands = [operator_nodes(tree) for tree in trees]
+        b, width, d = len(trees), max(map(len, cands)), cfg.d
+        slots = np.zeros((b, width), dtype=np.intp)
+        fill = np.full((b, width), MASK_FILL, dtype=D.dtype)
+        for i, cand in enumerate(cands):
+            slots[i, : len(cand)] = [schedule.row_index[i][nid] for nid in cand]
+            fill[i, : len(cand)] = 0.0
+        crows = gather_rows(D, slots.reshape(-1))
+        # one dot per candidate: a [rows, d] @ [d, 1] product rounds by row
+        # position, which would give equal-content candidates unequal logits
+        scores = matmul(reshape(crows, (b * width, 1, d)), params["head.pointer.w"])
+        pointer = add(reshape(scores, (b, width)), constant(fill))
+        repair = linear(crows, params["head.repair.w"], params["head.repair.b"])
+        targets = np.array([c.index(r.target_node) for c, r in zip(cands, batch)], dtype=np.intp)
+        ops = np.array([r.original_op for r in batch], dtype=np.intp)
+        gold = gather_rows(repair, np.arange(b) * width + targets)
+        return TaskForward(
+            loss_wrongop(pointer, gold, targets, ops),
+            b,
+            pointer.data,
+            targets,
+            cands,
+            repair.data.reshape(b, width, -1),
+            ops,
+        )
     rows, labels, where = [], [], []
     for t, tree in enumerate(trees):
         for nid, label in sorted((tree.node_labels or {}).items()):
             rows.append(schedule.row_index[t][nid])
             labels.append(label)
             where.append((t, nid))
-    picked = gather_rows(D, np.asarray(rows, dtype=np.intp))
-    logits = linear(picked, params["head.node.w"], params["head.node.b"])
-    return logits, np.asarray(labels, dtype=np.intp), where
-
-
-def _batch_loss(task, batch, params, cfg) -> Tensor | None:
-    """The batch's mean loss; None for a node-classify batch without labels."""
-    if task == "classify":
-        logits = _pooled_logits([t for t in batch], params, cfg)
-        labels = [t.tree_label for t in batch]
-        return loss_classify(logits, labels)
-    if task == "wrongop":
-        plogits, cands, D, schedule = _wrongop_forward(batch, params, cfg)
-        targets = np.array(
-            [cands[i].index(rec.target_node) for i, rec in enumerate(batch)],
-            dtype=np.intp,
-        )
-        gold_rows = np.array(
-            [schedule.row_index[i][rec.target_node] for i, rec in enumerate(batch)],
-            dtype=np.intp,
-        )
-        rlogits = linear(
-            gather_rows(D, gold_rows), params["head.repair.w"], params["head.repair.b"]
-        )
-        labels = np.array([rec.original_op for rec in batch], dtype=np.intp)
-        return loss_wrongop(plogits, rlogits, targets, labels)
-    labeled = _labeled_node_logits(batch, params, cfg)
-    if labeled is None:
-        return None
-    logits, labels, _ = labeled
-    return loss_node_classify(logits, labels)
+    logits = linear(gather_rows(D, rows), params["head.node.w"], params["head.node.b"])
+    labels = np.array(labels, dtype=np.intp)
+    return TaskForward(cross_entropy(logits, labels), len(labels), logits.data, labels, where)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _prediction_rows(task: str, out: TaskForward, base: int) -> list[dict]:
+    pred = np.argmax(out.logits, axis=1)
+    if task == "classify":
+        return [
+            {"sample": base + i, "pred": int(p), "gold": int(g)}
+            for i, (p, g) in enumerate(zip(pred, out.targets))
+        ]
+    if task == "wrongop":
+        ops = np.argmax(out.repair_logits[np.arange(len(pred)), pred], axis=1)
+        return [
+            {
+                "sample": base + i,
+                "pred_node": int(cand[p]),
+                "pred_op": int(op),
+                "gold_node": int(cand[g]),
+                "gold_op": int(gold_op),
+            }
+            for i, (cand, p, op, g, gold_op) in enumerate(
+                zip(out.nodes, pred, ops, out.targets, out.repair_targets)
+            )
+        ]
+    return [
+        {"sample": base + t, "node": int(nid), "pred": int(p), "gold": int(g)}
+        for (t, nid), p, g in zip(out.nodes, pred, out.targets)
+    ]
+
+
 def _evaluate_params(
-    params: ParamStore,
-    cfg: ModelConfig,
-    corpus: Corpus,
-    batch_size: int = 64,
-    predictions: list | None = None,
-) -> Metrics:
+    params: ParamStore, cfg: ModelConfig, corpus: Corpus, batch_size: int = 64
+) -> tuple[Metrics, list[dict]]:
+    """Metrics and prediction rows; each batch's mean loss is weighted by its item count."""
     task = corpus.task
-    total_loss = 0.0
-    correct = 0
-    loc_correct = 0
-    joint_correct = 0
-    n_nodes = 0
     data = corpus.records if task == "wrongop" else corpus.trees
     n = len(data)
     if n == 0:
         raise ValueError(f"cannot evaluate on an empty {task} corpus")
-    base = 0
+    total_loss = 0.0
+    items = 0
+    rows: list[dict] = []
     for start in range(0, n, batch_size):
-        batch = data[start : start + batch_size]
-        if task == "classify":
-            logits = _pooled_logits(batch, params, cfg)
-            labels = [t.tree_label for t in batch]
-            total_loss += loss_classify(logits, labels).item() * len(batch)
-            preds = np.argmax(logits.data, axis=1)
-            for i, (p, g) in enumerate(zip(preds, labels)):
-                correct += int(p == g)
-                if predictions is not None:
-                    predictions.append({"sample": base + i, "pred": int(p), "gold": int(g)})
-        elif task == "wrongop":
-            plogits, cands, D, schedule = _wrongop_forward(batch, params, cfg)
-            targets = np.array(
-                [cands[i].index(rec.target_node) for i, rec in enumerate(batch)],
-                dtype=np.intp,
-            )
-            gold_rows = np.array(
-                [schedule.row_index[i][rec.target_node] for i, rec in enumerate(batch)],
-                dtype=np.intp,
-            )
-            rlogits_gold = linear(
-                gather_rows(D, gold_rows), params["head.repair.w"], params["head.repair.b"]
-            )
-            labels = np.array([rec.original_op for rec in batch], dtype=np.intp)
-            total_loss += loss_wrongop(plogits, rlogits_gold, targets, labels).item() * len(batch)
-
-            loc_pred = np.argmax(plogits.data, axis=1)
-            located_rows = np.array(
-                [schedule.row_index[i][cands[i][loc_pred[i]]] for i in range(len(batch))],
-                dtype=np.intp,
-            )
-            rlogits_located = linear(
-                gather_rows(D, located_rows),
-                params["head.repair.w"],
-                params["head.repair.b"],
-            )
-            op_pred = np.argmax(rlogits_located.data, axis=1)
-            for i, rec in enumerate(batch):
-                pred_node = cands[i][loc_pred[i]]
-                loc_ok = pred_node == rec.target_node
-                joint_ok = loc_ok and int(op_pred[i]) == rec.original_op
-                loc_correct += int(loc_ok)
-                joint_correct += int(joint_ok)
-                if predictions is not None:
-                    predictions.append(
-                        {
-                            "sample": base + i,
-                            "pred_node": int(pred_node),
-                            "pred_op": int(op_pred[i]),
-                            "gold_node": int(rec.target_node),
-                            "gold_op": int(rec.original_op),
-                        }
-                    )
-        elif (labeled := _labeled_node_logits(batch, params, cfg)) is not None:
-            logits, labels, where = labeled
-            total_loss += loss_node_classify(logits, labels).item() * len(batch)
-            preds = np.argmax(logits.data, axis=1)
-            for (t, nid), p, g in zip(where, preds, labels):
-                correct += int(p == g)
-                n_nodes += 1
-                if predictions is not None:
-                    predictions.append(
-                        {"sample": base + t, "node": int(nid), "pred": int(p), "gold": int(g)}
-                    )
-        base += len(batch)
-
-    if task == "classify":
-        return Metrics(task, total_loss / n, n, accuracy=correct / n)
+        out = task_forward(task, data[start : start + batch_size], params, cfg)
+        if out.loss is None:
+            continue
+        total_loss += out.loss.item() * out.items
+        items += out.items
+        rows += _prediction_rows(task, out, start)
+    denom = max(items, 1)
     if task == "wrongop":
-        return Metrics(
-            task,
-            total_loss / n,
-            n,
-            loc_accuracy=loc_correct / n,
-            joint_accuracy=joint_correct / n,
-        )
-    return Metrics(task, total_loss / n, n, accuracy=correct / max(n_nodes, 1))
+        loc = [r["pred_node"] == r["gold_node"] for r in rows]
+        joint = [ok and r["pred_op"] == r["gold_op"] for ok, r in zip(loc, rows)]
+        accuracies = {"loc_accuracy": sum(loc) / denom, "joint_accuracy": sum(joint) / denom}
+    else:
+        accuracies = {"accuracy": sum(r["pred"] == r["gold"] for r in rows) / denom}
+    return Metrics(task, total_loss / denom, n, **accuracies), rows
 
 
 def _check_digest(expected: str, corpus: Corpus):
@@ -425,8 +381,7 @@ def evaluate(checkpoint, corpus: Corpus, predictions_path=None, batch_size: int 
         params, cfg = checkpoint
     if cfg.task != corpus.task:
         raise ValueError(f"model head is {cfg.task!r} but corpus task is {corpus.task!r}")
-    predictions = [] if predictions_path else None
-    metrics = _evaluate_params(params, cfg, corpus, batch_size, predictions)
+    metrics, predictions = _evaluate_params(params, cfg, corpus, batch_size)
     if predictions_path:
         with open(predictions_path, "w", encoding="utf-8") as fh:
             for row in predictions:
@@ -530,22 +485,24 @@ def train(
         for epoch in range(1, config.epochs + 1):
             order = shuffle_rng.permutation(n)
             epoch_loss = 0.0
+            epoch_items = 0
             for start in range(0, n, config.batch_size):
                 batch = [data[int(i)] for i in order[start : start + config.batch_size]]
-                loss = _batch_loss(config.task, batch, params, cfg)
-                if loss is None:
+                out = task_forward(config.task, batch, params, cfg)
+                if out.loss is None:
                     continue
-                if not np.isfinite(loss.item()):
+                if not np.isfinite(out.loss.item()):
                     raise NonFiniteGradient(f"non-finite loss at step {step + 1}")
                 params.zero_grads()
-                backward(loss)
+                backward(out.loss)
                 step += 1
                 adam_step(params, adam, lr_schedule(step, config))
-                epoch_loss += loss.item() * len(batch)
+                epoch_loss += out.loss.item() * out.items
+                epoch_items += out.items
             epochs_run = epoch
-            row = {"epoch": epoch, "train_loss": epoch_loss / n}
+            row = {"epoch": epoch, "train_loss": epoch_loss / max(epoch_items, 1)}
             if eval_corpus is not None:
-                final_eval = _evaluate_params(params, cfg, eval_corpus, config.batch_size)
+                final_eval, _ = _evaluate_params(params, cfg, eval_corpus, config.batch_size)
                 for key, value in final_eval.to_dict().items():
                     if key not in ("task", "samples"):
                         row[f"eval_{key}"] = value

@@ -22,14 +22,12 @@ from treeformer.model import (
     encode_tree,
     init_params,
     meter,
-    pool,
-    pointer_head,
 )
 from treeformer.numerics import backward, constant, gather_rows, matmul
 from treeformer.scheduler import cost_report
 from treeformer.synth import Corpus, gen_classify_corpus, gen_wrongop_corpus
 from treeformer.trees import SyntaxNode, leaves, random_tree
-from treeformer.training import TrainConfig, train
+from treeformer.training import TrainConfig, pooled_rows, task_forward, train
 
 CLASSIFY_SEED = 20240811
 WRONGOP_SEED = 714
@@ -243,25 +241,28 @@ def test_criterion_4_sibling_order_sensitivity():
         max_children=4, classify_classes=2,
     )
 
+    def pooled(trees, params, cfg):
+        _, _, D, schedule = batch_state_tensors(trees, params, cfg)
+        return pooled_rows(D, schedule, params).data
+
     cfg_off = ModelConfig(use_position_encoding=False, **base_cfg)
     params = init_params(cfg_off, seed=4)
-    reference = pool(encode_tree(tree, params, cfg_off), params)
-    worst = 0.0
-    permutations = 0
-    for perm_root in itertools.permutations([1, 2, 3, 4]):
-        for perm_inner in itertools.permutations([5, 6, 7]):
-            h = pool(encode_tree(permute(perm_root, perm_inner), params, cfg_off), params)
-            worst = max(worst, float(np.abs(h - reference).max()))
-            permutations += 1
+    variants = [
+        permute(perm_root, perm_inner)
+        for perm_root in itertools.permutations([1, 2, 3, 4])
+        for perm_inner in itertools.permutations([5, 6, 7])
+    ]
+    permutations = len(variants)
     assert permutations == 144
+    h = pooled([tree] + variants, params, cfg_off)
+    worst = float(np.abs(h[1:] - h[0]).max())
 
     cfg_on = ModelConfig(**base_cfg)
     found = None
     swapped = permute([2, 1, 3, 4], [5, 6, 7])
     for seed in range(20):
         params_on = init_params(cfg_on, seed=seed)
-        a = pool(encode_tree(tree, params_on, cfg_on), params_on)
-        b = pool(encode_tree(swapped, params_on, cfg_on), params_on)
+        a, b = pooled([tree, swapped], params_on, cfg_on)
         delta = float(np.abs(a - b).max())
         if delta >= 1e-6:
             found = (seed, delta)
@@ -384,7 +385,9 @@ def test_criterion_9_ablation_reachability(wrongop_setup):
 
     result = trained["topdown"]
     checked = 0
-    for record in test_c.records[:200]:
+    records = test_c.records[:200]
+    pointer = task_forward("wrongop", records, result.params, result.model_config).logits
+    for record, logits in zip(records, pointer):
         cands = operator_nodes(record.tree)
         symbols = [
             (record.tree.node(n).type_id, record.tree.node(n).token_id) for n in cands
@@ -397,13 +400,9 @@ def test_criterion_9_ablation_reachability(wrongop_setup):
         ]
         if not dupes:
             continue
-        states = encode_tree(record.tree, result.params, result.model_config)
-        logits = pointer_head(states, cands, result.params)
         for i, j in dupes:
             assert logits[i] == logits[j], "equal symbols must receive equal logits"
         checked += 1
-        if checked >= 20:
-            break
     summary = {name: round(r.history[-1]["eval_loc_accuracy"], 3) for name, r in trained.items()}
     report(
         9,

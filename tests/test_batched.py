@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import chain, make_tree
-from treeformer.batched import batch_state_tensors, encode_batch, padded_tree_rows
+from treeformer.batched import batch_state_tensors, encode_batch
 from treeformer.model import ModelConfig, encode_tree, init_params
+from treeformer.numerics import constant
 from treeformer.scheduler import build_schedule
+from treeformer.training import pooled_rows
 from treeformer.trees import random_tree
 
 
@@ -105,13 +107,18 @@ class TestPaddingIsolation:
 
 class TestLayoutHelpers:
     def test_padded_tree_rows(self):
-        trees = [chain(2), chain(4)]
-        schedule = build_schedule(trees)
-        idx, mask = padded_tree_rows(schedule)
-        assert idx.shape == (2, 4) and mask.shape == (2, 4)
-        assert mask[0].tolist() == [1.0, 1.0, 0.0, 0.0]
-        assert mask[1].tolist() == [1.0] * 4
-        assert idx[1].tolist() == [schedule.row_index[1][i] for i in range(4)]
+        """Pooling pads trees to the widest one; the padded slots carry no weight."""
+        schedule = build_schedule([chain(4), chain(2)])
+        params = init_params(config(), seed=10)
+        rng = np.random.default_rng(10)
+        D = rng.standard_normal((schedule.n_rows, 8))
+        before = pooled_rows(constant(D), schedule, params).data
+        assert before.shape == (2, 8)
+        # the short tree's padded slots read rows of the long one
+        D[list(schedule.row_index[0].values())] = rng.standard_normal((4, 8)) * 1e3
+        after = pooled_rows(constant(D), schedule, params).data
+        assert after[1].tobytes() == before[1].tobytes()
+        assert np.abs(after[0] - before[0]).max() > 1.0
 
     def test_schedule_reuse(self):
         cfg = config()

@@ -5,33 +5,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_tree
-from treeformer.minilang import MINI_VOCAB, parse
+from conftest import chain, make_tree
+from treeformer.batched import batch_state_tensors
+from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
 from treeformer.model import (
     BranchingOverflow,
-    EmptyCandidateSet,
-    HeadMismatch,
     ModelConfig,
-    NodeStates,
     VocabularyOverflow,
     bottom_up_step,
-    classify_head,
     embed_node,
     encode_tree,
     fraternal_attention,
     init_params,
     meter,
     multi_head_attention,
-    node_classify_head,
-    pointer_head,
-    pool,
-    pool_rows,
-    repair_head,
     sinusoidal_rows,
     top_down_step,
 )
-from treeformer.numerics import constant, softmax
-from treeformer.scheduler import cost_report
+from treeformer.numerics import MASK_FILL, constant, softmax
+from treeformer.scheduler import build_schedule, cost_report
+from treeformer.synth import MutationRecord, gen_wrongop_corpus, mutate_operator
+from treeformer.training import pooled_rows, task_forward
 from treeformer.trees import leaves, random_tree
 
 
@@ -52,6 +46,16 @@ def mini_config(**kw):
     return small_config(
         type_vocab_size=MINI_VOCAB.n_types, token_vocab_size=MINI_VOCAB.n_tokens, **kw
     )
+
+
+def pooled(trees, params, cfg):
+    """Pooled tree vectors [B, d] from the batched encoder."""
+    _, _, D, schedule = batch_state_tensors(trees, params, cfg)
+    return pooled_rows(D, schedule, params).data
+
+
+def oracle_pool(rows, gate):
+    return oracle_softmax((rows @ gate)[:, 0][None])[0] @ rows
 
 
 def np_params(params):
@@ -402,12 +406,14 @@ class TestOrderSensitivity:
         cfg = small_config(use_position_encoding=False)
         params = init_params(cfg, seed=19)
         tree = self._tree_with_permutable_siblings()
-        base = pool(encode_tree(tree, params, cfg), params)
-        for perm_root in itertools.permutations([1, 2, 3, 4]):
-            for perm_inner in itertools.permutations([5, 6, 7]):
-                variant = self._permute(tree, perm_root, perm_inner)
-                h = pool(encode_tree(variant, params, cfg), params)
-                np.testing.assert_allclose(h, base, atol=1e-12)
+        variants = [
+            self._permute(tree, perm_root, perm_inner)
+            for perm_root in itertools.permutations([1, 2, 3, 4])
+            for perm_inner in itertools.permutations([5, 6, 7])
+        ]
+        h = pooled([tree] + variants, params, cfg)
+        assert h.shape == (145, cfg.d)
+        np.testing.assert_allclose(h[1:], np.broadcast_to(h[0], h[1:].shape), atol=1e-12)
 
     def test_sensitive_with_positions(self):
         tree = self._tree_with_permutable_siblings()
@@ -415,8 +421,7 @@ class TestOrderSensitivity:
         for seed in range(20):
             cfg = small_config()
             params = init_params(cfg, seed=seed)
-            a = pool(encode_tree(tree, params, cfg), params)
-            b = pool(encode_tree(swapped, params, cfg), params)
+            a, b = pooled([tree, swapped], params, cfg)
             if np.abs(a - b).max() >= 1e-6:
                 return
         pytest.fail("no sibling permutation changed the pooled vector in 20 draws")
@@ -538,78 +543,101 @@ class TestPool:
     def test_single_node(self):
         cfg = small_config()
         params = init_params(cfg, seed=26)
-        tree = make_tree({}, types={0: 1})
-        states = encode_tree(tree, params, cfg)
-        np.testing.assert_array_equal(pool(states, params), states.down[0])
+        trees = [make_tree({}, types={0: 1}), make_tree({0: [1, 2]}, types={0: 2, 1: 3, 2: 4})]
+        _, _, D, schedule = batch_state_tensors(trees, params, cfg)
+        got = pooled_rows(D, schedule, params).data[0]
+        np.testing.assert_array_equal(got, D.data[schedule.row_index[0][0]])
 
     def test_identical_states_pool_to_that_vector(self):
         cfg = small_config()
         params = init_params(cfg, seed=27)
-        row = np.random.default_rng(16).standard_normal(cfg.d)
-        states = NodeStates({}, {0: row, 1: row.copy(), 2: row.copy()})
-        np.testing.assert_allclose(pool(states, params), row, atol=1e-12)
+        rng = np.random.default_rng(16)
+        schedule = build_schedule([chain(5), chain(3)])
+        D = rng.standard_normal((schedule.n_rows, cfg.d))
+        row = rng.standard_normal(cfg.d)
+        D[list(schedule.row_index[1].values())] = row
+        got = pooled_rows(constant(D), schedule, params).data[1]
+        np.testing.assert_allclose(got, row, atol=1e-12)
 
     def test_three_node_oracle(self):
         cfg = small_config()
         params = init_params(cfg, seed=28)
         rng = np.random.default_rng(17)
-        D = rng.standard_normal((3, cfg.d))
-        got = pool_rows(constant(D), params).data[0]
-        gates = D @ params["pool.gate"].data
-        w = oracle_softmax(gates[:, 0][None])[0]
-        expected = sum(w[i] * D[i] for i in range(3))
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        schedule = build_schedule([make_tree({0: [1, 2]}), chain(6)])
+        D = rng.standard_normal((schedule.n_rows, cfg.d))
+        got = pooled_rows(constant(D), schedule, params).data
+        gate = params["pool.gate"].data
+        for t, index in enumerate(schedule.row_index):
+            rows = D[[index[nid] for nid in sorted(index)]]
+            np.testing.assert_allclose(got[t], oracle_pool(rows, gate), atol=1e-12)
+
+
+def wrongop_config(**kw):
+    return mini_config(classify_classes=None, operator_classes=len(OPS_MINI), **kw)
+
+
+def unmutated_record(source):
+    """A record pointing at the first operator of an unmutated program."""
+    tree = parse(source)
+    target = operator_nodes(tree)[0]
+    op = OPS_MINI.index(MINI_VOCAB.token_symbol(tree.node(target).token_id))
+    return MutationRecord(tree, target, op, op, "")
 
 
 class TestHeads:
     def test_pointer_single_candidate(self):
-        cfg = small_config(classify_classes=None, operator_classes=13)
+        cfg = wrongop_config()
         params = init_params(cfg, seed=29)
-        states = NodeStates({}, {5: np.random.default_rng(18).standard_normal(cfg.d)})
-        logits = pointer_head(states, [5], params)
-        assert logits.shape == (1,)
-        assert softmax(constant(logits)).data[0] == 1.0
+        batch = [unmutated_record("s = a + b;"), mutate_operator(parse("s = a * b - c / d;"), 3)]
+        logits = task_forward("wrongop", batch, params, cfg).logits
+        assert logits.shape == (2, 3)
+        assert logits[0, 1:].tolist() == [np.float64(MASK_FILL)] * 2
+        assert softmax(constant(logits)).data[0].tolist() == [1.0, 0.0, 0.0]
 
     def test_pointer_identical_candidates(self):
-        cfg = small_config(classify_classes=None, operator_classes=13)
-        params = init_params(cfg, seed=30)
-        row = np.random.default_rng(19).standard_normal(cfg.d)
-        states = NodeStates({}, {1: row, 2: row.copy()})
-        probs = softmax(constant(pointer_head(states, [1, 2], params))).data
-        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
+        """Equal-symbol candidates tie exactly without top-down flow, at any row position."""
+        records = gen_wrongop_corpus(128, 2, seed=714)
+        pairs = 0
+        for dtype in ("float64", "float32"):
+            cfg = wrongop_config(d=16, max_children=16, use_top_down=False)
+            params = init_params(cfg, seed=2, dtype=dtype)
+            for size in (32, 64):
+                for start in range(0, len(records), size):
+                    batch = records[start : start + size]
+                    logits = task_forward("wrongop", batch, params, cfg).logits
+                    for rec, row in zip(batch, logits):
+                        cands = operator_nodes(rec.tree)
+                        tokens = [rec.tree.node(c).token_id for c in cands]
+                        for i, j in itertools.combinations(range(len(cands)), 2):
+                            if tokens[i] == tokens[j]:
+                                assert row[i] == row[j], (dtype, size, start, rec.target_node)
+                                pairs += 1
+        assert pairs > 200
 
     def test_pointer_mass_restricted_to_candidates(self):
-        cfg = small_config(classify_classes=None, operator_classes=13)
+        cfg = wrongop_config()
         params = init_params(cfg, seed=31)
-        rng = np.random.default_rng(20)
-        states = NodeStates({}, {i: rng.standard_normal(cfg.d) for i in range(6)})
-        cands = [1, 3, 4]
-        probs = softmax(constant(pointer_head(states, cands, params))).data
-        assert probs.shape == (len(cands),)
-        assert abs(probs.sum() - 1.0) < 1e-12
-
-    def test_pointer_empty_candidates(self):
-        cfg = small_config(classify_classes=None, operator_classes=13)
-        params = init_params(cfg, seed=32)
-        with pytest.raises(EmptyCandidateSet):
-            pointer_head(NodeStates({}, {}), [], params)
-
-    def test_head_mismatch(self):
-        cfg = small_config(classify_classes=None, operator_classes=13)
-        params = init_params(cfg, seed=33)
-        with pytest.raises(HeadMismatch):
-            classify_head(np.zeros(cfg.d), params)
-        with pytest.raises(HeadMismatch):
-            node_classify_head(np.zeros(cfg.d), params)
-        assert repair_head(np.zeros(cfg.d), params).shape == (13,)
+        batch = gen_wrongop_corpus(6, 2, seed=20)
+        probs = softmax(constant(task_forward("wrongop", batch, params, cfg).logits)).data
+        for rec, row in zip(batch, probs):
+            k = len(operator_nodes(rec.tree))
+            assert abs(row[:k].sum() - 1.0) < 1e-12
+            assert not row[k:].any()
 
     def test_classify_and_node_heads_shapes(self):
+        rng = np.random.default_rng(34)
+        trees = [random_tree(rng, n, 4, 12, 12) for n in (2, 5, 9)]
         cfg = small_config()
         params = init_params(cfg, seed=34)
-        assert classify_head(np.zeros(cfg.d), params).shape == (3,)
+        labeled = [replace(t, tree_label=i) for i, t in enumerate(trees)]
+        out = task_forward("classify", labeled, params, cfg)
+        assert out.items == 3 and out.logits.shape == (3, 3)
         cfg2 = small_config(classify_classes=None, node_classes=5)
         params2 = init_params(cfg2, seed=35)
-        assert node_classify_head(np.zeros(cfg2.d), params2).shape == (5,)
+        labeled = [replace(t, node_labels={0: 4, max(t.nodes): 1}) for t in trees]
+        out = task_forward("node-classify", labeled, params2, cfg2)
+        assert out.items == 6 and out.logits.shape == (6, 5)
+        assert out.targets.tolist() == [4, 1, 4, 1, 4, 1]
 
 
 class TestConfig:

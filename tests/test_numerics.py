@@ -329,6 +329,28 @@ class TestCheckpoint:
             assert loaded[name].data.tobytes() == store[name].data.tobytes()
         assert loaded.buffer_names() == ["pos"]
 
+    def _saved(self, tmp_path):
+        store = ParamStore()
+        store.add_param("w", np.arange(12.0).reshape(3, 4))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(store, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "ckpt.json.bin"]
+        return path, tmp_path / "ckpt.json.bin"
+
+    def test_truncated_blob_refused(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match=r"ckpt\.json\.bin: 88 bytes"):
+            load_checkpoint(path)
+
+    def test_flipped_byte_refused(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        data = bytearray(blob.read_bytes())
+        data[17] ^= 0x01
+        blob.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json\.bin: sha256"):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         store = ParamStore()
         store.add_param("w", np.zeros(2))

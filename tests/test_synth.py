@@ -167,6 +167,44 @@ class TestCorpusIO:
         assert corpus.records == records
         assert corpus.meta["operators"] == OPS_MINI
 
+    def _corrupt_line_2(self, tmp_path, edit):
+        save_wrongop_corpus(tmp_path / "w", gen_wrongop_corpus(3, 2, seed=3), seed=3)
+        path = tmp_path / "w" / "trees.jsonl"
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        lines[1] = edit(obj)
+        path.write_text("\n".join(lines) + "\n")
+        return tmp_path / "w"
+
+    def test_wrongop_bad_json_named(self, tmp_path):
+        corpus_dir = self._corrupt_line_2(tmp_path, lambda obj: json.dumps(obj)[:-5])
+        with pytest.raises(ValueError, match=r"trees.jsonl line 2: bad JSON"):
+            load_corpus(corpus_dir)
+
+    def test_wrongop_missing_mutation_named(self, tmp_path):
+        def edit(obj):
+            del obj["mutation"]
+            return json.dumps(obj)
+
+        with pytest.raises(ValueError, match="line 2: no mutation"):
+            load_corpus(self._corrupt_line_2(tmp_path, edit))
+
+    def test_wrongop_target_not_operator_named(self, tmp_path):
+        def edit(obj):
+            obj["mutation"]["target_node"] = obj["root"]
+            return json.dumps(obj)
+
+        with pytest.raises(ValueError, match="line 2: target_node .* not an operator leaf"):
+            load_corpus(self._corrupt_line_2(tmp_path, edit))
+
+    def test_wrongop_original_op_out_of_range_named(self, tmp_path):
+        def edit(obj):
+            obj["mutation"]["original_op"] = len(OPS_MINI)
+            return json.dumps(obj)
+
+        with pytest.raises(ValueError, match="line 2: original_op 13 outside"):
+            load_corpus(self._corrupt_line_2(tmp_path, edit))
+
     def test_save_deterministic_bytes(self, tmp_path):
         records = gen_wrongop_corpus(5, 2, seed=7)
         save_wrongop_corpus(tmp_path / "a", records, seed=7)

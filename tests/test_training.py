@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
-from treeformer.model import ModelConfig, init_params, pointer_head
+from treeformer.model import ModelConfig, init_params
 from treeformer.numerics import ParamStore
-from treeformer.synth import Corpus, gen_classify_corpus, gen_wrongop_corpus
+from treeformer.synth import Corpus, MutationRecord, gen_classify_corpus, gen_wrongop_corpus
 from treeformer.training import (
     AdamState,
     DigestMismatch,
@@ -18,10 +18,10 @@ from treeformer.training import (
     adam_step,
     cross_entropy,
     evaluate,
-    loss_classify,
-    loss_node_classify,
     loss_wrongop,
     lr_schedule,
+    model_config_for,
+    task_forward,
     train,
 )
 from treeformer.trees import random_tree
@@ -130,11 +130,11 @@ class TestLosses:
     def test_perfect_one_hot(self):
         logits = np.full(5, -50.0)
         logits[2] = 50.0
-        assert loss_classify(logits, 2).item() < 1e-9
+        assert cross_entropy(logits, 2).item() < 1e-9
 
     def test_uniform_logits(self):
         for c in (2, 5, 13):
-            loss = loss_classify(np.zeros(c), 0).item()
+            loss = cross_entropy(np.zeros(c), 0).item()
             assert abs(loss - math.log(c)) < 1e-12
 
     def test_wrongop_decomposition(self):
@@ -147,11 +147,11 @@ class TestLosses:
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            loss_classify(np.zeros(3), 3)
+            cross_entropy(np.zeros(3), 3)
 
     def test_node_loss_mean(self):
         logits = np.zeros((4, 3))
-        assert abs(loss_node_classify(logits, [0, 1, 2, 0]).item() - math.log(3)) < 1e-12
+        assert abs(cross_entropy(logits, [0, 1, 2, 0]).item() - math.log(3)) < 1e-12
 
 
 class TestMetrics:
@@ -189,6 +189,9 @@ class TestTrainLoop:
     def test_task_mismatch_rejected(self):
         with pytest.raises(ValueError):
             train(tiny_train_config(task="wrongop"), classify_corpus())
+        result = train(tiny_train_config(epochs=1), classify_corpus())
+        with pytest.raises(ValueError, match="model head is 'classify'"):
+            evaluate((result.params, result.model_config), wrongop_corpus())
 
     def test_wrongop_loop_and_joint_bound(self):
         corpus = wrongop_corpus(programs=16)
@@ -247,6 +250,19 @@ class TestUnlabeledNodeBatches:
 
 
 class TestEvaluate:
+    def test_node_mean_loss_independent_of_batch_size(self):
+        """Each batch's mean loss counts by its labeled nodes, not by its trees."""
+        rng = np.random.default_rng(8)
+        trees = []
+        for _ in range(8):
+            tree = random_tree(rng, int(rng.integers(4, 40)), 3, 3, 3)
+            trees.append(replace(tree, node_labels={nid: nid % 3 for nid in tree.nodes}))
+        corpus = replace(node_corpus(), trees=trees, meta={**node_corpus().meta, "node_classes": 3})
+        cfg = model_config_for(tiny_train_config(task="node-classify"), corpus)
+        model = (init_params(cfg, seed=0), cfg)
+        losses = [evaluate(model, corpus, batch_size=size).mean_loss for size in (1, 2, 3, 8)]
+        np.testing.assert_allclose(losses, losses[-1], rtol=1e-12)
+
     def test_empty_corpus_rejected(self):
         corpus = classify_corpus()
         result = train(tiny_train_config(epochs=1), corpus)
@@ -308,14 +324,15 @@ class TestLeafLogitInvariant:
         assert len(cands) == 2
         cfg = ModelConfig(
             d=16, heads=2, type_vocab_size=MINI_VOCAB.n_types,
-            token_vocab_size=MINI_VOCAB.n_tokens, max_children=8,
+            token_vocab_size=MINI_VOCAB.n_tokens, max_children=16,
             operator_classes=13, use_top_down=False,
         )
         params = init_params(cfg, seed=2)
-        from treeformer.model import encode_tree
-
-        states = encode_tree(tree, params, cfg)
-        logits = pointer_head(states, cands, params)
+        # in the middle of a multi-record batch, so its rows are not the first
+        batch = gen_wrongop_corpus(16, 2, seed=2)
+        batch.insert(7, MutationRecord(tree, cands[0], 0, 0, ""))
+        logits = task_forward("wrongop", batch, params, cfg).logits[7]
         assert logits[0] == logits[1]
+        assert (logits[2:] < -1e29).all()
         # deterministic tie-break: argmax picks the lowest node id
         assert cands[int(np.argmax(logits))] == min(cands)
