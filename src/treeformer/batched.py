@@ -3,11 +3,16 @@
 Semantics must match the naive recursion exactly (up to float summation
 order). The bottom-up unit runs on rectangular padded buckets: padded slots
 are zero-filled on gather, their attention scores are pushed to an underflow
-fill before softmax, and only parent rows are scattered back, so padding
-cannot influence any real node's state. A debug rng can overwrite padding
-with noise to let tests verify that claim. The top-down unit is row-wise and
-runs once per depth on the unpadded rows of that depth, each with its
-parent's row.
+fill before softmax, and only parent rows are kept, so padding cannot
+influence any real node's state. A debug rng can overwrite padding with
+noise to let tests verify that claim. The top-down unit is row-wise and runs
+once per depth on the unpadded rows of that depth, each with its parent's
+row.
+
+No op inside the level loops reads or returns a whole-batch ``[n_rows, d]``
+tensor. Each level's output is its own tensor, and a level reads the rows it
+needs from the tensors they live in, with gradients only for the rows read.
+The whole-batch ``S_up`` and ``S_down`` are assembled once, after the loops.
 """
 
 from __future__ import annotations
@@ -29,16 +34,32 @@ from .numerics import (
     concat,
     constant,
     gather_rows,
-    mul,
+    gather_rows_from,
     reshape,
     scatter_rows,
 )
-from .scheduler import Schedule, build_schedule
-from .trees import SyntaxTree
+from .scheduler import Bucket, Schedule, build_schedule
+from .trees import SyntaxTree, tree_arrays
 
 
 def _np_dtype(params: ParamStore):
     return np.float64 if params.dtype == "float64" else np.float32
+
+
+def _read_children(
+    bucket: Bucket, levels: list[Tensor], level_of: np.ndarray, pos: np.ndarray
+) -> Tensor:
+    """The bucket's child slots as ``[B * w, d]`` rows, zero at padding.
+
+    Row ``r``'s bottom-up state is row ``pos[r]`` of ``levels[level_of[r]]``.
+    """
+    slots = np.flatnonzero(bucket.mask.reshape(-1))
+    kids = bucket.child_rows.reshape(-1)[slots]
+    level = level_of[kids]
+    order = np.argsort(level, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(level[order])) + 1)
+    parts = [(levels[level[run[0]]], slots[run], pos[kids[run]]) for run in runs]
+    return gather_rows_from(bucket.mask.size, parts)
 
 
 def batch_state_tensors(
@@ -50,37 +71,36 @@ def batch_state_tensors(
 ) -> tuple[Tensor, Tensor, Tensor, Schedule]:
     """Embed and propagate a batch; returns (X, S_up, S_down, schedule).
 
-    Row layout follows ``schedule.row_index``. ``pad_rng``, when given, fills
-    the bottom-up buckets' padded slots with random values instead of zeros
-    (leak testing only).
+    All three are ``[n_rows, d]`` in the ``schedule.row_index`` layout.
+    ``pad_rng``, when given, fills the bottom-up buckets' padded slots with
+    random values instead of zeros (leak testing only).
     """
     if schedule is None:
         schedule = build_schedule(trees)
     dtype = _np_dtype(params)
     d = config.d
+    arrays = tree_arrays(trees)
+    X = embed_rows(
+        params,
+        config,
+        np.concatenate([a.type_id for a in arrays]),
+        np.concatenate([a.token_plus1 for a in arrays]),
+    )
 
-    type_ids = np.empty(schedule.n_rows, dtype=np.intp)
-    token_plus1 = np.empty(schedule.n_rows, dtype=np.intp)
-    for t, tree in enumerate(trees):
-        index = schedule.row_index[t]
-        for nid, node in tree.nodes.items():
-            row = index[nid]
-            type_ids[row] = node.type_id
-            token_plus1[row] = 0 if node.token_id is None else node.token_id + 1
-    X = embed_rows(params, config, type_ids, token_plus1)
-
-    S = X
-    for group in schedule.bottom_up_levels:
-        parent_rows = []
+    # levels[h] holds the bottom-up states of height h, levels[0] = X those
+    # of the leaves; row r's state is row pos[r] of levels[level_of[r]]
+    levels, level_rows = [X], []
+    level_of = np.zeros(schedule.n_rows, dtype=np.intp)
+    pos = np.arange(schedule.n_rows)
+    for height, group in enumerate(schedule.bottom_up_levels, start=1):
         outs = []
         for bucket in group.buckets:
             B, w = bucket.child_rows.shape
-            Hc = reshape(gather_rows(S, bucket.child_rows.reshape(-1)), (B, w, d))
-            mask3 = bucket.mask[:, :, None].astype(dtype)
-            Hc = mul(Hc, constant(mask3))
+            Hc = reshape(_read_children(bucket, levels, level_of, pos), (B, w, d))
             if pad_rng is not None:
+                pad = (1.0 - bucket.mask[:, :, None]).astype(dtype)
                 noise = pad_rng.standard_normal((B, w, d)).astype(dtype)
-                Hc = add(Hc, constant(noise * (1.0 - mask3)))
+                Hc = add(Hc, constant(noise * pad))
             e_par = reshape(gather_rows(X, bucket.parents), (B, 1, d))
             mask_add = ((1.0 - bucket.mask) * MASK_FILL).astype(dtype)[:, None, None, :]
             h = bottom_up_step(
@@ -92,18 +112,34 @@ def batch_state_tensors(
                 child_counts=bucket.child_counts,
             )
             outs.append(reshape(h, (B, d)))
-            parent_rows.append(bucket.parents)
-        S = scatter_rows(S, np.concatenate(parent_rows), concat(outs, axis=0))
+        rows = np.concatenate([bucket.parents for bucket in group.buckets])
+        levels.append(concat(outs, axis=0))
+        level_rows.append(rows)
+        level_of[rows] = height
+        pos[rows] = np.arange(len(rows))
+    S = X
+    if level_rows:
+        S = scatter_rows(X, np.concatenate(level_rows), concat(levels[1:], axis=0))
 
     if not config.use_top_down:
         return X, S, S, schedule
 
-    D = S  # root rows stay as-is: the root's final state is its bottom-up state
+    # downs[i] holds the final states of depth i + 2, row pos[r] for row r;
+    # depth 1 reads S: the root's final state is its bottom-up state
+    downs, down_rows = [], []
     for group in schedule.top_down_levels:
         (bucket,) = group.buckets
         rows = bucket.child_rows[:, 0]
-        out = top_down_step(gather_rows(D, bucket.parents), gather_rows(S, rows), params, config)
-        D = scatter_rows(D, rows, out)
+        if downs:
+            h_parent = gather_rows(downs[-1], pos[bucket.parents])
+        else:
+            h_parent = gather_rows(S, bucket.parents)
+        downs.append(top_down_step(h_parent, gather_rows(S, rows), params, config))
+        down_rows.append(rows)
+        pos[rows] = np.arange(len(rows))
+    D = S
+    if downs:
+        D = scatter_rows(S, np.concatenate(down_rows), concat(downs, axis=0))
     return X, S, D, schedule
 
 

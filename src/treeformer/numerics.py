@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,18 +214,57 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(parts), bw, "concat")
 
 
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside ``rows`` of its tensor: ``values[i]``
+    adds to row ``rows[i]``, and a row may be listed more than once.
+
+    A backward function returns one instead of a dense array when it touches
+    few rows of a large tensor, so reading a few rows costs what they do.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def _add_rows(grad: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``grad[rows] += values``, summing repeated rows (``np.add.at``, but fast)."""
+    rows = rows.reshape(-1)
+    values = values.reshape((rows.size,) + grad.shape[1:])
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    repeats = ranked[1:] == ranked[:-1]
+    if not repeats.any():
+        grad[rows] += values
+        return
+    starts = np.flatnonzero(np.concatenate([[True], ~repeats]))
+    grad[ranked[starts]] += np.add.reduceat(values[order], starts, axis=0)
+
+
 def gather_rows(a, idx) -> Tensor:
     """Select rows along axis 0; gradients scatter-add back."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
+    return _make(data, (a,), lambda g: (RowGrad(idx, g),), "gather_rows")
+
+
+def gather_rows_from(n: int, parts: Sequence[tuple]) -> Tensor:
+    """Rows read from several tensors into one ``[n, ...]`` tensor.
+
+    ``parts`` holds ``(source, at, idx)``: rows ``at`` of the result are
+    ``source[idx]``. Rows no part writes are zero. Each source's gradient
+    covers only the rows read from it.
+    """
+    sources = tuple(_as_tensor(src) for src, _, _ in parts)
+    first = sources[0].data
+    data = np.zeros((n,) + first.shape[1:], dtype=first.dtype)
+    for src, (_, at, idx) in zip(sources, parts):
+        data[at] = src.data[idx]
 
     def bw(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        return tuple(RowGrad(idx, g[at]) for _, at, idx in parts)
 
-    return _make(data, (a,), bw, "gather_rows")
+    return _make(data, sources, bw, "gather_rows_from")
 
 
 def scatter_rows(a, idx, rows) -> Tensor:
@@ -385,7 +424,10 @@ def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:
                 continue
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+            if isinstance(g, RowGrad):
+                _add_rows(parent.grad, g.rows, g.values)
+            else:
+                parent.grad += g
 
 
 class ParamStore:

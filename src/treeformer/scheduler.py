@@ -6,6 +6,11 @@ explicit masks so the bottom-up unit runs as rectangular batched operations.
 Top-down groups hold nodes of equal depth (parents already computed) in one
 width-1 bucket without padding: the top-down unit is row-wise, so each row is
 one node and its parent.
+
+A plan is built from each tree's cached index arrays (``trees.tree_arrays``):
+the batch concatenates them with row offsets and sorts once per direction,
+bottom-up by (height, width, tree, reversed preorder), top-down by (depth,
+tree, breadth-first order).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import SyntaxTree, depths, heights, leaves, parent_map
+from .trees import SyntaxTree, leaves, parent_map, tree_arrays
 
 
 class DependencyViolation(Exception):
@@ -33,8 +38,11 @@ class Bucket:
     """Rectangular layout for one child-count range within a group.
 
     Bottom-up, row ``b`` describes the children of ``parents[b]``; slots past
-    the real child count are padding and carry mask 0. Top-down, the width is
-    1 and row ``b`` is one child, ``child_rows[b, 0]``, and its parent.
+    the real child count are padding and carry mask 0. A group's buckets come
+    in increasing width; rows within a bucket follow tree order, then reversed
+    preorder within a tree. Top-down, the width is 1 and row ``b`` is one
+    child, ``child_rows[b, 0]``, and its parent, in tree order, then
+    breadth-first order within a tree.
     """
 
     width: int
@@ -55,6 +63,9 @@ class Group:
 
 @dataclass(frozen=True)
 class Schedule:
+    """A batch's plan. Tree ``t``'s rows are ``row_index[t]``: its node ids in
+    ascending order, numbered on from the rows of the trees before it."""
+
     bottom_up_levels: list  # Group per height 1..max_height
     top_down_levels: list  # Group per depth 2..max_depth
     row_index: list  # per tree: node_id -> global row
@@ -62,71 +73,90 @@ class Schedule:
     max_depth: int
 
 
-def _bucketize(
-    entries: list, row_index: list
-) -> list:
-    """entries: [(tree_idx, parent_id, children_ids)] -> buckets by padded width."""
-    by_width: dict[int, list] = {}
-    for tree_idx, parent_id, children in entries:
-        by_width.setdefault(_next_pow2(len(children)), []).append(
-            (tree_idx, parent_id, children)
-        )
-    buckets = []
-    for width in sorted(by_width):
-        rows = by_width[width]
-        n = len(rows)
-        parents = np.zeros(n, dtype=np.intp)
-        child_rows = np.zeros((n, width), dtype=np.intp)
-        mask = np.zeros((n, width), dtype=np.float64)
-        counts = np.zeros(n, dtype=np.intp)
-        members = []
-        for b, (tree_idx, parent_id, children) in enumerate(rows):
-            index = row_index[tree_idx]
-            parents[b] = index[parent_id]
-            counts[b] = len(children)
-            for j, c in enumerate(children):
-                child_rows[b, j] = index[c]
-                mask[b, j] = 1.0
-            members.append((tree_idx, parent_id))
-        buckets.append(Bucket(width, parents, child_rows, mask, counts, members))
-    return buckets
+def _runs(key: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) of each run of equal values in a sorted array."""
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    return list(zip(bounds[:-1], bounds[1:])) if len(key) else []
 
 
 def build_schedule(batch: list[SyntaxTree]) -> Schedule:
     """Plan bottom-up then top-down execution for a batch of valid trees."""
     if not batch:
         raise ValueError("empty batch")
-    row_index: list[dict[int, int]] = []
-    rows = 0
-    up: dict[int, tuple[list, list]] = {}  # height -> (entries, members)
-    down: dict[int, tuple[list, list]] = {}  # depth -> (entries, members)
-    for t, tree in enumerate(batch):
-        row_index.append({nid: rows + i for i, nid in enumerate(sorted(tree.nodes))})
-        rows += len(tree)
-        for nid, h in heights(tree).items():
-            if h:
-                entries, members = up.setdefault(h, ([], []))
-                entries.append((t, nid, list(tree.node(nid).children)))
-                members.append((t, nid))
-        parent = parent_map(tree)
-        for nid, dp in depths(tree).items():
-            if dp > 1:
-                entries, members = down.setdefault(dp, ([], []))
-                entries.append((t, parent[nid], [nid]))
-                members.append((t, nid))
+    arrays = tree_arrays(batch)
+    sizes = np.array([len(a.ids) for a in arrays], dtype=np.intp)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    n_rows = int(offsets[-1])
+    tree_of = np.repeat(np.arange(len(batch)), sizes)
+    base = offsets[:-1][tree_of]  # first row of each row's tree
 
-    def groups(levels):
-        return [
-            Group(members, _bucketize(entries, row_index))
-            for _, (entries, members) in sorted(levels.items())
-        ]
+    def cat(name):
+        return np.concatenate([getattr(a, name) for a in arrays])
+
+    ids, height, depth = cat("ids"), cat("height"), cat("depth")
+    counts = np.concatenate([np.diff(a.child_ptr) for a in arrays])
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    child_idx = cat("child_idx") + np.repeat(offsets[:-1], [len(a.child_idx) for a in arrays])
+    parent = cat("parent") + base  # read at non-root rows only
+    row_index = [
+        dict(zip(a.ids.tolist(), range(int(o), int(o) + len(a.ids))))
+        for a, o in zip(arrays, offsets)
+    ]
+
+    def members(rows):
+        return list(zip(tree_of[rows].tolist(), ids[rows].tolist()))
+
+    # bottom-up: inner nodes sorted by (height, width, tree, reversed preorder)
+    inner = np.flatnonzero(height)
+    pow2 = np.array([_next_pow2(c) for c in range(int(counts.max(initial=0)) + 1)], np.intp)
+    width = pow2[counts[inner]]
+    up_key = (base + cat("up_rank"))[inner]
+    order = np.lexsort((up_key, width, height[inner]))
+    rows, row_width = inner[order], width[order]
+    up_members = inner[np.lexsort((up_key, height[inner]))]
+    up_parent_members = members(rows)
+    bottom_up = []
+    for lo, hi in _runs(height[rows]):
+        buckets = []
+        for a, b in _runs(row_width[lo:hi]):
+            a, b = lo + a, lo + b
+            parents, w = rows[a:b], int(row_width[a])
+            n = counts[parents]
+            slot = np.arange(w)
+            real = slot < n[:, None]
+            child_rows = np.zeros((b - a, w), dtype=np.intp)
+            child_rows[real] = child_idx[(ptr[parents][:, None] + slot)[real]]
+            buckets.append(
+                Bucket(w, parents, child_rows, real.astype(np.float64), n, up_parent_members[a:b])
+            )
+        bottom_up.append(Group(members(up_members[lo:hi]), buckets))
+
+    # top-down: non-roots sorted by (depth, tree, breadth-first order), one
+    # width-1 bucket per depth
+    nonroot = np.flatnonzero(depth > 1)
+    down_key = (base + cat("down_rank"))[nonroot]
+    rows = nonroot[np.lexsort((down_key, depth[nonroot]))]
+    down_members = members(rows)
+    down_parent_members = members(parent[rows])
+    top_down = []
+    for lo, hi in _runs(depth[rows]):
+        kids = rows[lo:hi]
+        bucket = Bucket(
+            1,
+            parent[kids],
+            kids[:, None].copy(),
+            np.ones((hi - lo, 1)),
+            np.ones(hi - lo, dtype=np.intp),
+            down_parent_members[lo:hi],
+        )
+        top_down.append(Group(down_members[lo:hi], [bucket]))
 
     return Schedule(
-        bottom_up_levels=groups(up),
-        top_down_levels=groups(down),
+        bottom_up_levels=bottom_up,
+        top_down_levels=top_down,
         row_index=row_index,
-        n_rows=rows,
-        max_depth=max(down, default=1),
+        n_rows=n_rows,
+        max_depth=int(depth.max()),
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import minilang
 from .minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
+from .numerics import _replace_atomically
 from .trees import (
     SyntaxTree,
     Vocabulary,
@@ -423,13 +424,12 @@ def _write_corpus(out_dir, task: str, lines: list[str], seed: int, extra: dict) 
         "vocabulary": MINI_VOCAB.to_obj(),
     }
     meta.update(extra)
-    with open(os.path.join(out_dir, "trees.jsonl"), "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # each file goes to a temporary name and is renamed into place, trees
+    # first: a failed write leaves the previous file whole
+    trees = "".join(line + "\n" for line in lines)
+    _replace_atomically(os.path.join(out_dir, "trees.jsonl"), trees.encode("utf-8"))
+    text = json.dumps(meta, indent=1, sort_keys=True) + "\n"
+    _replace_atomically(os.path.join(out_dir, "meta.json"), text.encode("utf-8"))
 
 
 def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> MutationRecord:

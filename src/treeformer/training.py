@@ -193,15 +193,28 @@ def model_config_for(config: TrainConfig, corpus: Corpus) -> ModelConfig:
         )
     head = {}
     if config.task == "classify":
-        head["classify_classes"] = int(
-            corpus.meta.get("classes") or 1 + max(t.tree_label for t in corpus.trees)
-        )
+        classes = corpus.meta.get("classes")
+        if not classes:
+            unlabeled = [i for i, t in enumerate(corpus.trees) if t.tree_label is None]
+            if unlabeled:
+                raise ValueError(
+                    f"classify corpus has no 'classes' in its meta and tree {unlabeled[0]}"
+                    " has no label to count them from"
+                )
+            classes = 1 + max(t.tree_label for t in corpus.trees)
+        head["classify_classes"] = int(classes)
     elif config.task == "wrongop":
         head["operator_classes"] = len(corpus.meta["operators"])
     else:
         classes = corpus.meta.get("node_classes")
         if classes is None:
-            classes = 1 + max(max(t.node_labels.values()) for t in corpus.trees if t.node_labels)
+            labels = [max(t.node_labels.values()) for t in corpus.trees if t.node_labels]
+            if not labels:
+                raise ValueError(
+                    "node-classify corpus has no 'node_classes' in its meta and no tree"
+                    " with node_labels to count them from"
+                )
+            classes = 1 + max(labels)
         head["node_classes"] = int(classes)
     return ModelConfig(
         d=config.d,

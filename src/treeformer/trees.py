@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class SyntaxTree:
     root: int
     tree_label: int | None = None
     node_labels: dict[int, int] | None = None
+    # filled by tree_arrays on first use; a copy made with dataclasses.replace starts empty
+    _arrays: "TreeArrays | None" = field(default=None, init=False, repr=False, compare=False)
 
     def node(self, node_id: int) -> SyntaxNode:
         return self.nodes[node_id]
@@ -157,6 +159,130 @@ def heights(tree: SyntaxTree) -> dict[int, int]:
         kids = tree.node(nid).children
         out[nid] = 1 + max(out[c] for c in kids) if kids else 0
     return out
+
+
+class TreeArrays(NamedTuple):
+    """A tree's structure as int arrays, one entry per row.
+
+    Row ``i`` is the node with the ``i``-th smallest id, the layout a batch
+    gives each tree. ``up_rank`` and ``down_rank`` fix the order of a tree's
+    nodes within one bottom-up (height) or top-down (depth) level.
+    """
+
+    ids: np.ndarray  # node id per row, ascending
+    parent: np.ndarray  # parent row; -1 at the root
+    child_ptr: np.ndarray  # [n + 1] CSR offsets into child_idx
+    child_idx: np.ndarray  # child rows, siblings in order
+    height: np.ndarray  # 0 at leaves
+    depth: np.ndarray  # 1 at the root
+    type_id: np.ndarray
+    token_plus1: np.ndarray  # 0 is NO-TOKEN
+    up_rank: np.ndarray  # position in reversed preorder
+    down_rank: np.ndarray  # position in breadth-first order
+
+
+def tree_arrays(trees: Sequence[SyntaxTree]) -> list[TreeArrays]:
+    """Each tree's :class:`TreeArrays`, computed on first use and cached on the tree.
+
+    Trees without cached arrays are done together, one numpy sweep per level
+    of the tallest, so the cost per tree is one Python pass over its nodes.
+    """
+    todo = [t for t in trees if t._arrays is None]
+    if todo:
+        for tree, arrays in zip(todo, _compute_arrays(todo)):
+            tree._arrays = arrays
+    return [t._arrays for t in trees]
+
+
+def _local_arrays(tree: SyntaxTree):
+    """ids, child counts, child rows, type ids, token ids + 1 and root row, from one pass."""
+    nodes = tree.nodes
+    ids = sorted(nodes)
+    kids = [nodes[i].children for i in ids]
+    flat = [c for ks in kids for c in ks]
+    tokens = [nodes[i].token_id for i in ids]
+    ids_arr = np.array(ids, dtype=np.intp)
+    if ids[0] == 0 and ids[-1] == len(ids) - 1:  # dense ids: the row is the id
+        child_idx = np.array(flat, dtype=np.intp)
+        root = tree.root
+    else:
+        child_idx = np.searchsorted(ids_arr, flat).astype(np.intp)
+        root = int(np.searchsorted(ids_arr, tree.root))
+    return (
+        ids_arr,
+        np.fromiter(map(len, kids), dtype=np.intp, count=len(ids)),
+        child_idx,
+        np.array([nodes[i].type_id for i in ids], dtype=np.intp),
+        np.array([0 if t is None else t + 1 for t in tokens], dtype=np.intp),
+        root,
+    )
+
+
+def _compute_arrays(trees: Sequence[SyntaxTree]) -> list[TreeArrays]:
+    ids, kid_counts, child_idx, type_id, token_plus1, roots = zip(*map(_local_arrays, trees))
+    sizes = np.array([len(i) for i in ids], dtype=np.intp)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(offsets[-1])
+    counts = np.concatenate(kid_counts)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    idx = np.concatenate(child_idx) + np.repeat(offsets[:-1], [len(c) for c in child_idx])
+    roots = np.array(roots, dtype=np.intp) + offsets[:-1]
+
+    # breadth-first frontiers over the whole forest: a frontier holds each
+    # tree's nodes of one depth in that tree's breadth-first order, tree by tree
+    frontiers = [roots]
+    while True:
+        f = frontiers[-1]
+        c = counts[f]
+        total = int(c.sum())
+        if not total:
+            break
+        first = np.cumsum(c) - c
+        frontiers.append(idx[np.repeat(ptr[f] - first, c) + np.arange(total)])
+    depth = np.empty(n, dtype=np.intp)
+    for level, f in enumerate(frontiers, start=1):
+        depth[f] = level
+
+    # per parent with children: the start of its block in the next frontier
+    blocks = []
+    for f in frontiers[:-1]:
+        p = f[counts[f] > 0]
+        c = counts[p]
+        blocks.append((p, c, np.cumsum(c) - c))
+    height = np.zeros(n, dtype=np.intp)
+    size = np.ones(n, dtype=np.intp)
+    for (p, _, starts), kids in reversed(list(zip(blocks, frontiers[1:]))):
+        height[p] = 1 + np.maximum.reduceat(height[kids], starts)
+        size[p] = 1 + np.add.reduceat(size[kids], starts)
+    pre = np.zeros(n, dtype=np.intp)  # preorder position within the tree
+    for (p, c, starts), kids in zip(blocks, frontiers[1:]):
+        before = np.cumsum(size[kids]) - size[kids]  # subtree sizes of earlier kids
+        pre[kids] = np.repeat(pre[p] - before[starts] + 1, c) + before
+
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    bfs = np.concatenate(frontiers)
+    by_tree = bfs[np.argsort(tree_of[bfs], kind="stable")]
+    down_rank = np.empty(n, dtype=np.intp)
+    down_rank[by_tree] = np.arange(n) - offsets[tree_of[by_tree]]
+    up_rank = sizes[tree_of] - 1 - pre
+    parent = np.full(n, -1, dtype=np.intp)
+    parent[idx] = np.repeat(np.arange(n), counts) - offsets[tree_of[idx]]
+
+    return [
+        TreeArrays(
+            ids=ids[t],
+            parent=parent[offsets[t] : offsets[t + 1]],
+            child_ptr=ptr[offsets[t] : offsets[t + 1] + 1] - ptr[offsets[t]],
+            child_idx=child_idx[t],
+            height=height[offsets[t] : offsets[t + 1]],
+            depth=depth[offsets[t] : offsets[t + 1]],
+            type_id=type_id[t],
+            token_plus1=token_plus1[t],
+            up_rank=up_rank[offsets[t] : offsets[t + 1]],
+            down_rank=down_rank[offsets[t] : offsets[t + 1]],
+        )
+        for t in range(len(trees))
+    ]
 
 
 def depth(tree: SyntaxTree) -> int:

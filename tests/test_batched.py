@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import chain, make_tree
+from conftest import chain, make_tree, star
 from treeformer.batched import batch_state_tensors, encode_batch
-from treeformer.model import ModelConfig, encode_tree, init_params
-from treeformer.numerics import constant
+from treeformer.model import ModelConfig, encode_tree, init_params, naive_state_tensors
+from treeformer.numerics import add, backward, concat, constant, mul, sum_all
 from treeformer.scheduler import build_schedule
 from treeformer.training import pooled_rows
 from treeformer.trees import random_tree
@@ -69,6 +69,55 @@ class TestEquivalence:
         expected = embed_node(trees[0].node(0), params, cfg)
         assert np.array_equal(out[0].up[0], expected)
         assert np.array_equal(out[0].down[0], expected)
+
+
+def _projected_loss(S, D, rng):
+    """A loss that weighs every bottom-up and final state entry differently."""
+    return add(
+        sum_all(mul(S, constant(rng.standard_normal(S.shape)))),
+        sum_all(mul(D, constant(rng.standard_normal(D.shape)))),
+    )
+
+
+def _param_grads(params, loss):
+    params.zero_grads()
+    backward(loss)
+    return {
+        name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+        for name, t in params.params.items()
+    }
+
+
+class TestGradientOracle:
+    """Parameter gradients through the batched levels equal the naive recursion's."""
+
+    @pytest.mark.parametrize("flags", [{}, {"use_top_down": False}])
+    def test_matches_naive_gradients(self, flags):
+        cfg = config(max_children=16, **flags)
+        params = init_params(cfg, seed=11)
+        rng = np.random.default_rng(12)
+        trees = [
+            make_tree({}, types={0: 3}, tokens={0: 2}),
+            chain(24),
+            star(16),
+            random_tree(rng, 120, 16, 10, 10),
+            make_tree({}, types={0: 1}),
+            random_tree(rng, 60, 3, 10, 10),
+        ]
+        _, S, D, _ = batch_state_tensors(trees, params, cfg)
+        batched = _param_grads(params, _projected_loss(S, D, np.random.default_rng(13)))
+
+        ups, downs = [], []
+        for tree in trees:
+            _, up, down = naive_state_tensors(tree, params, cfg)
+            ups += [up[nid] for nid in sorted(tree.nodes)]
+            downs += [down[nid] for nid in sorted(tree.nodes)]
+        loss = _projected_loss(concat(ups), concat(downs), np.random.default_rng(13))
+        naive = _param_grads(params, loss)
+
+        for name, want in naive.items():
+            bound = 1e-10 * max(1.0, np.abs(want).max())
+            assert np.abs(batched[name] - want).max() <= bound, name
 
 
 class TestPaddingIsolation:

@@ -170,6 +170,7 @@ C324 = constant(rng0.standard_normal((3, 2, 4)))
 C39 = constant(rng0.standard_normal((3, 9)))
 C35 = constant(rng0.standard_normal((3, 5)))
 C14 = constant(rng0.standard_normal((1, 4)))
+C54 = constant(rng0.standard_normal((5, 4)))
 
 
 @_case("matmul")
@@ -205,6 +206,12 @@ def _(p):
 @_case("gather_rows")
 def _(p):
     return nm.sum_all(nm.mul(nm.gather_rows(p["x34"], np.array([0, 2, 2, 1])), C44))
+
+
+@_case("gather_rows_from")
+def _(p):
+    parts = [(p["x34"], np.array([0, 3]), np.array([2, 0])), (p["r14"], np.array([4]), np.array([0]))]
+    return nm.sum_all(nm.mul(nm.gather_rows_from(5, parts), C54))
 
 
 @_case("scatter_rows")

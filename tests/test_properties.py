@@ -1,0 +1,110 @@
+"""Property tests over random forests: schedules, cached tree arrays, and batched vs naive."""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import chain
+from treeformer.batched import batch_state_tensors
+from treeformer.model import ModelConfig, embed_node, encode_tree, init_params
+from treeformer.scheduler import build_schedule, check_schedule
+from treeformer.trees import SyntaxTree, depths, heights, preorder, random_tree, tree_arrays
+
+MAX_CHILDREN = 16
+
+
+def relabel(tree, rng):
+    """The same tree under sparse ids in random order, so rows are not preorder."""
+    new = dict(zip(tree.nodes, (3 * rng.permutation(len(tree)) + 5).tolist()))
+    nodes = {
+        new[nid]: replace(n, id=new[nid], children=tuple(new[c] for c in n.children))
+        for nid, n in tree.nodes.items()
+    }
+    return SyntaxTree(nodes, new[tree.root])
+
+
+@st.composite
+def trees(draw, max_nodes=300):
+    kind = draw(st.sampled_from(["random", "relabeled", "single", "chain"]))
+    n = 1 if kind == "single" else draw(st.integers(1, max_nodes))
+    if kind == "chain":
+        return chain(n)
+    branching = draw(st.integers(1, MAX_CHILDREN))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = random_tree(rng, n, branching, 10, 10)
+    return relabel(tree, rng) if kind == "relabeled" else tree
+
+
+def forests(max_nodes=300):
+    return st.lists(trees(max_nodes), min_size=1, max_size=8)
+
+
+def bfs_order(tree):
+    order, frontier = [], [tree.root]
+    while frontier:
+        order += frontier
+        frontier = [c for nid in frontier for c in tree.node(nid).children]
+    return order
+
+
+# derandomized and without an example database: every run checks the same forests
+SETTINGS = dict(
+    deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(forests())
+def test_schedule_passes_check_and_arrays_match_traversals(batch):
+    schedule = build_schedule(batch)
+    check_schedule(schedule, batch)
+    for tree, arrays in zip(batch, tree_arrays(batch)):
+        ids = sorted(tree.nodes)
+        row = {nid: i for i, nid in enumerate(ids)}
+        assert arrays.ids.tolist() == ids
+        h, dp = heights(tree), depths(tree)
+        assert arrays.height.tolist() == [h[nid] for nid in ids]
+        assert arrays.depth.tolist() == [dp[nid] for nid in ids]
+        up = list(reversed(preorder(tree)))
+        assert [ids[r] for r in np.argsort(arrays.up_rank)] == up
+        assert [ids[r] for r in np.argsort(arrays.down_rank)] == bfs_order(tree)
+        for nid in ids:
+            kids = arrays.child_idx[arrays.child_ptr[row[nid]] : arrays.child_ptr[row[nid] + 1]]
+            assert [ids[k] for k in kids] == list(tree.node(nid).children)
+            assert all(arrays.parent[k] == row[nid] for k in kids)
+        assert arrays.parent[row[tree.root]] == -1
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(forests(), st.booleans())
+def test_batched_matches_naive_in_row_index_layout(batch, top_down):
+    cfg = ModelConfig(
+        d=8, heads=2, type_vocab_size=10, token_vocab_size=10,
+        max_children=MAX_CHILDREN, classify_classes=2, use_top_down=top_down,
+    )
+    params = init_params(cfg, seed=0)
+    X, S, D, schedule = batch_state_tensors(batch, params, cfg)
+    assert X.shape == S.shape == D.shape == (schedule.n_rows, cfg.d)
+    for tree, index in zip(batch, schedule.row_index):
+        naive = encode_tree(tree, params, cfg, method="naive")
+        for nid, row in index.items():
+            assert np.array_equal(X.data[row], embed_node(tree.node(nid), params, cfg))
+            assert np.abs(S.data[row] - naive.up[nid]).max() <= 1e-10
+            assert np.abs(D.data[row] - naive.down[nid]).max() <= 1e-10
+
+
+def test_replaced_tree_gets_fresh_arrays():
+    tree = random_tree(np.random.default_rng(1), 30, 4, 10, 10)
+    (before,) = tree_arrays([tree])
+    nodes = dict(tree.nodes)
+    leaf = next(nid for nid in sorted(nodes) if not nodes[nid].children)
+    nodes[leaf] = replace(nodes[leaf], children=(100,))
+    nodes[100] = replace(nodes[leaf], id=100, children=(), type_id=7)
+    grown = replace(tree, nodes=nodes)
+    (after,) = tree_arrays([grown])
+    assert after is not before
+    assert len(after.ids) == len(before.ids) + 1
+    assert after.type_id[-1] == 7
+    assert tree_arrays([tree])[0] is before

@@ -212,6 +212,32 @@ class TestCorpusIO:
         for name in ("trees.jsonl", "meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("failing_write", [0, 1])
+    def test_failed_write_leaves_previous_files_whole(self, tmp_path, monkeypatch, failing_write):
+        import os
+
+        save_classify_corpus(tmp_path / "c", gen_classify_corpus(2, 2, seed=0), seed=0)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "c").iterdir()}
+        writes = []
+
+        def fsync(fd):
+            writes.append(fd)
+            if len(writes) > failing_write:
+                raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="disk full"):
+            save_classify_corpus(tmp_path / "c", gen_classify_corpus(3, 4, seed=1), seed=1)
+        monkeypatch.undo()
+        after = {name: (tmp_path / "c" / name).read_bytes() for name in before}
+        # the file being written when the write failed is the previous one, whole
+        failed = ("trees.jsonl", "meta.json")[failing_write]
+        assert after[failed] == before[failed]
+        if failing_write == 0:
+            assert after == before
+        corpus = load_corpus(tmp_path / "c")
+        assert len(corpus.trees) == (2 * 2 if failing_write == 0 else 3 * 4)
+
     def test_sidecar_contents(self, tmp_path):
         save_classify_corpus(tmp_path / "c", gen_classify_corpus(2, 1, seed=0), seed=0)
         meta = json.loads((tmp_path / "c" / "meta.json").read_text())

@@ -249,6 +249,22 @@ class TestUnlabeledNodeBatches:
         assert len(rows) == sum(len(t.node_labels) for t in corpus.trees[:6])
 
 
+class TestModelConfigFor:
+    def test_node_classes_missing_everywhere_named(self):
+        corpus = node_corpus(labeled=0, trees=4)
+        corpus = replace(corpus, meta={k: v for k, v in corpus.meta.items() if k != "node_classes"})
+        with pytest.raises(ValueError, match="no 'node_classes' in its meta and no tree"):
+            model_config_for(tiny_train_config(task="node-classify"), corpus)
+
+    def test_classify_unlabeled_tree_without_classes_named(self):
+        corpus = classify_corpus()
+        trees = list(corpus.trees)
+        trees[2] = replace(trees[2], tree_label=None)
+        meta = {k: v for k, v in corpus.meta.items() if k != "classes"}
+        with pytest.raises(ValueError, match="no 'classes' in its meta and tree 2 has no label"):
+            model_config_for(tiny_train_config(), replace(corpus, trees=trees, meta=meta))
+
+
 class TestEvaluate:
     def test_node_mean_loss_independent_of_batch_size(self):
         """Each batch's mean loss counts by its labeled nodes, not by its trees."""
