@@ -202,19 +202,13 @@ def _local_arrays(tree: SyntaxTree):
     flat = [c for ks in kids for c in ks]
     tokens = [nodes[i].token_id for i in ids]
     ids_arr = np.array(ids, dtype=np.intp)
-    if ids[0] == 0 and ids[-1] == len(ids) - 1:  # dense ids: the row is the id
-        child_idx = np.array(flat, dtype=np.intp)
-        root = tree.root
-    else:
-        child_idx = np.searchsorted(ids_arr, flat).astype(np.intp)
-        root = int(np.searchsorted(ids_arr, tree.root))
     return (
         ids_arr,
         np.fromiter(map(len, kids), dtype=np.intp, count=len(ids)),
-        child_idx,
+        np.searchsorted(ids_arr, flat).astype(np.intp),
         np.array([nodes[i].type_id for i in ids], dtype=np.intp),
         np.array([0 if t is None else t + 1 for t in tokens], dtype=np.intp),
-        root,
+        int(np.searchsorted(ids_arr, tree.root)),
     )
 
 
