@@ -1,13 +1,13 @@
 """Scheduled execution: the propagation units as batched ops.
 
 Semantics must match the naive recursion exactly (up to float summation
-order). The bottom-up unit runs on rectangular padded buckets: padded slots
-are zero-filled on gather, their attention scores are pushed to an underflow
-fill before softmax, and only parent rows are kept, so padding cannot
-influence any real node's state. A debug rng can overwrite padding with
-noise to let tests verify that claim. The top-down unit is row-wise and runs
-once per depth on the unpadded rows of that depth, each with its parent's
-row.
+order). The bottom-up unit runs once per height: one ``bottom_up_step`` call
+takes the level's parent rows and one padded block of children per bucket.
+Padded child slots are zero-filled on gather and their attention scores are
+pushed to an underflow fill before softmax, so padding cannot influence any
+real node's state. A debug rng can overwrite padding with noise to let tests
+verify that claim. The top-down unit is row-wise and runs once per depth on
+the unpadded rows of that depth, each with its parent's row.
 
 No op inside the level loops reads or returns a whole-batch ``[n_rows, d]``
 tensor. Each level's output is its own tensor, and a level reads the rows it
@@ -93,7 +93,7 @@ def batch_state_tensors(
     level_of = np.zeros(schedule.n_rows, dtype=np.intp)
     pos = np.arange(schedule.n_rows)
     for height, group in enumerate(schedule.bottom_up_levels, start=1):
-        outs = []
+        blocks = []
         for bucket in group.buckets:
             B, w = bucket.child_rows.shape
             Hc = reshape(_read_children(bucket, levels, level_of, pos), (B, w, d))
@@ -101,19 +101,10 @@ def batch_state_tensors(
                 pad = (1.0 - bucket.mask[:, :, None]).astype(dtype)
                 noise = pad_rng.standard_normal((B, w, d)).astype(dtype)
                 Hc = add(Hc, constant(noise * pad))
-            e_par = reshape(gather_rows(X, bucket.parents), (B, 1, d))
             mask_add = ((1.0 - bucket.mask) * MASK_FILL).astype(dtype)[:, None, None, :]
-            h = bottom_up_step(
-                e_par,
-                Hc,
-                params,
-                config,
-                mask_add=mask_add,
-                child_counts=bucket.child_counts,
-            )
-            outs.append(reshape(h, (B, d)))
+            blocks.append((Hc, mask_add, bucket.child_counts))
         rows = np.concatenate([bucket.parents for bucket in group.buckets])
-        levels.append(concat(outs, axis=0))
+        levels.append(bottom_up_step(gather_rows(X, rows), blocks, params, config))
         level_rows.append(rows)
         level_of[rows] = height
         pos[rows] = np.arange(len(rows))

@@ -9,9 +9,12 @@ feed-forward layer with layer norms finishes the state. Top-down, a parent's
 final state is broadcast-added onto its children's bottom-up states and
 passed through a second feed-forward unit; the root's top-down state is its
 bottom-up state. Node vectors after the top-down pass are the final
-representations. The task heads on top of them (a gated softmax pool for
-tree classification, a pointer and a repair head for wrong operators, and a
-per-node classifier) run batched, in ``training.task_forward``.
+representations. ``bottom_up_step`` updates one level of parents at once,
+from one padded block of children per group of parents; the naive
+recursion here calls it with one block holding one parent. The task heads
+on top of them (a gated softmax pool for tree classification, a pointer and
+a repair head for wrong operators, and a per-node classifier) run batched,
+in ``training.task_forward``.
 """
 
 from __future__ import annotations
@@ -238,6 +241,23 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(y, s[:-2] + (s[-2] * s[-1],))
 
 
+def _mix(
+    qh: Tensor,
+    kh: Tensor,
+    vh: Tensor,
+    denom: float,
+    mask_add: np.ndarray | None = None,
+    pos_scores: Tensor | None = None,
+) -> Tensor:
+    """Scores, softmax and mix of per-head queries, keys and values; heads merged."""
+    scores = scale(matmul(qh, _swap_last2(kh)), 1.0 / denom)
+    if pos_scores is not None:
+        scores = add(scores, pos_scores)
+    if mask_add is not None:
+        scores = add(scores, constant(mask_add, dtype=scores.dtype))
+    return _merge_heads(matmul(softmax(scores), vh))
+
+
 def multi_head_attention(
     q: Tensor,
     k: Tensor,
@@ -256,16 +276,15 @@ def multi_head_attention(
     ``mask_add`` is an additive score mask broadcast over key slots;
     ``pos_scores`` is an extra score term shared by every head.
     """
-    qh = _split_heads(matmul(q, wq), heads)
-    kh = _split_heads(matmul(k, wk), heads)
-    vh = _split_heads(matmul(v, wv), heads)
-    scores = scale(matmul(qh, _swap_last2(kh)), 1.0 / denom)
-    if pos_scores is not None:
-        scores = add(scores, pos_scores)
-    if mask_add is not None:
-        scores = add(scores, constant(mask_add, dtype=scores.dtype))
-    mixed = matmul(softmax(scores), vh)
-    return matmul(_merge_heads(mixed), wo)
+    mixed = _mix(
+        _split_heads(matmul(q, wq), heads),
+        _split_heads(matmul(k, wk), heads),
+        _split_heads(matmul(v, wv), heads),
+        denom,
+        mask_add,
+        pos_scores,
+    )
+    return matmul(mixed, wo)
 
 
 def _position_scores(params: ParamStore, config: ModelConfig, n: int, denom: float) -> Tensor:
@@ -343,44 +362,51 @@ def _ln(x: Tensor, params: ParamStore, name: str, config: ModelConfig) -> Tensor
 
 
 def bottom_up_step(
-    e_parent: Tensor,
-    H_children: Tensor,
+    e_parents: Tensor,
+    blocks: list[tuple[Tensor, np.ndarray | None, np.ndarray | None]],
     params: ParamStore,
     config: ModelConfig,
-    mask_add: np.ndarray | None = None,
-    child_counts: np.ndarray | None = None,
 ) -> Tensor:
-    """One parent update from its children's states.
+    """One level of parent updates from their children's states.
 
-    ``e_parent``: [..., 1, d] initial embedding (attention query and residual);
-    ``H_children``: [..., n, d] child states. Returns [..., 1, d].
+    ``e_parents``: ``[P, d]`` initial embeddings (attention queries and
+    residuals). ``blocks`` holds ``(H_children, mask_add, child_counts)`` per
+    group of parents, in the order of ``e_parents``: ``H_children`` is
+    ``[B, w, d]``, the children of ``B`` parents padded to ``w`` slots, and
+    ``mask_add`` (``[B, 1, 1, w]``) pushes padded slots' scores to
+    ``MASK_FILL``. Returns ``[P, d]``.
+
+    Only fraternal attention and the keys and values of parental attention
+    need the sibling axis, so they run per block; the single-query score and
+    mix run per block on each parent's own row, and the query and output
+    projections, the layer norms and the FFN run once over all ``P`` rows.
     """
-    n = H_children.shape[-2]
-    _check_branching(config, n, child_counts)
-    if config.use_fraternal_attention:
-        frat = fraternal_attention(
-            H_children, params, config, mask_add=mask_add, child_counts=child_counts
-        )
-        H1 = _ln(add(frat, H_children), params, "up.ln_frat", config)
-    else:
-        H1 = H_children
-        if config.pe_before_parental:
-            H1 = add(H1, gather_rows(params["up.frat.pos"], np.arange(n)))
-
+    d, heads = config.d, config.heads
     width = config.d_head if config.per_head_scaling else config.d
-    attended = multi_head_attention(
-        e_parent,
-        H1,
-        H1,
-        params["up.par.wq"],
-        params["up.par.wk"],
-        params["up.par.wv"],
-        params["up.par.wo"],
-        config.heads,
-        math.sqrt(width),
-        mask_add=mask_add,
-    )
-    mid = _ln(add(attended, e_parent), params, "up.ln_attn", config)
+    q = matmul(e_parents, params["up.par.wq"])
+    mixed, start = [], 0
+    for H, mask_add, child_counts in blocks:
+        B, n = H.shape[0], H.shape[1]
+        _check_branching(config, n, child_counts)
+        if config.use_fraternal_attention:
+            frat = fraternal_attention(
+                H, params, config, mask_add=mask_add, child_counts=child_counts
+            )
+            H = _ln(add(frat, H), params, "up.ln_frat", config)
+        elif config.pe_before_parental:
+            H = add(H, gather_rows(params["up.frat.pos"], np.arange(n)))
+        qb = reshape(gather_rows(q, np.arange(start, start + B)), (B, 1, d))
+        m = _mix(
+            _split_heads(qb, heads),
+            _split_heads(matmul(H, params["up.par.wk"]), heads),
+            _split_heads(matmul(H, params["up.par.wv"]), heads),
+            math.sqrt(width),
+            mask_add,
+        )
+        mixed.append(reshape(m, (B, d)))
+        start += B
+    attended = matmul(concat(mixed, axis=0), params["up.par.wo"])
+    mid = _ln(add(attended, e_parents), params, "up.ln_attn", config)
     return _ln(add(_ffn(mid, params, "up.ffn"), mid), params, "up.ln_out", config)
 
 
@@ -457,7 +483,8 @@ def naive_state_tensors(
             up[nid] = e[nid]
         else:
             H = concat([up[c] for c in node.children], axis=0)
-            up[nid] = bottom_up_step(e[nid], H, params, config)
+            H = reshape(H, (1,) + H.shape)
+            up[nid] = bottom_up_step(e[nid], [(H, None, None)], params, config)
 
     if not config.use_top_down:
         return e, up, dict(up)

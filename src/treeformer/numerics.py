@@ -168,21 +168,34 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy batch-dimension broadcasting."""
+    """Matrix product with numpy batch-dimension broadcasting.
+
+    A batched ``a`` against a 2-D ``b`` (a shared weight) runs as one flat
+    ``[N, k] @ [k, h]`` product, forward and backward: numpy would otherwise
+    compute one small product per batch entry. The flat product may round a
+    row differently by its position in the block, so a product whose equal
+    rows must give equal results broadcasts ``b`` as 3-D instead.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        shape = a.data.shape
+        flat = a.data.reshape(-1, shape[-1])
+        data = (flat @ b.data).reshape(shape[:-1] + (b.data.shape[1],))
+
+        def bw(g):
+            g = g.reshape(-1, g.shape[-1])
+            return (g @ b.data.T).reshape(shape), flat.T @ g
+
+        return _make(data, (a, b), bw, "matmul")
     data = np.matmul(a.data, b.data)
 
     def bw(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         if ga.shape != a.data.shape:
             ga = _unbroadcast(ga, a.data.shape)
-        if b.data.ndim == 2 and g.ndim > 2:
-            # batched input, shared 2-D weight: one flat product
-            gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            if gb.shape != b.data.shape:
-                gb = _unbroadcast(gb, b.data.shape)
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        if gb.shape != b.data.shape:
+            gb = _unbroadcast(gb, b.data.shape)
         return ga, gb
 
     return _make(data, (a, b), bw, "matmul")
@@ -293,8 +306,9 @@ def select_columns(a, idx) -> Tensor:
     data = a.data[rows, idx]
 
     def bw(g):
+        # one (row, column) pair per row: a plain assignment sums nothing
         ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, idx), g)
+        ga[rows, idx] = g
         return (ga,)
 
     return _make(data, (a,), bw, "select_columns")
@@ -422,10 +436,13 @@ def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:
         for parent, g in zip(node._parents, node._bw(node.grad)):
             if g is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
             if isinstance(g, RowGrad):
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
                 _add_rows(parent.grad, g.rows, g.values)
+            elif parent.grad is None:
+                # a copy: a backward may hand one array to several parents
+                parent.grad = np.array(g, dtype=parent.data.dtype)
             else:
                 parent.grad += g
 

@@ -20,6 +20,7 @@ from .minilang import operator_nodes
 from .model import ModelConfig, init_params
 from .numerics import (
     MASK_FILL,
+    CheckpointError,
     ParamStore,
     Tensor,
     add,
@@ -289,9 +290,12 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
             slots[i, : len(cand)] = [schedule.row_index[i][nid] for nid in cand]
             fill[i, : len(cand)] = 0.0
         crows = gather_rows(D, slots.reshape(-1))
-        # one dot per candidate: a [rows, d] @ [d, 1] product rounds by row
-        # position, which would give equal-content candidates unequal logits
-        scores = matmul(reshape(crows, (b * width, 1, d)), params["head.pointer.w"])
+        # one dot per candidate: a flat [rows, d] @ [d, 1] product rounds by
+        # row position, which would give equal-content candidates unequal
+        # logits, so the weight goes in as [1, d, 1] to stay off matmul's
+        # flat path for 2-D weights
+        w = reshape(params["head.pointer.w"], (1, d, 1))
+        scores = matmul(reshape(crows, (b * width, 1, d)), w)
         pointer = add(reshape(scores, (b, width)), constant(fill))
         repair = linear(crows, params["head.repair.w"], params["head.repair.b"])
         targets = np.array([c.index(r.target_node) for c, r in zip(cands, batch)], dtype=np.intp)
@@ -384,11 +388,28 @@ def _check_digest(expected: str, corpus: Corpus):
         )
 
 
+def _check_tensors(params: ParamStore, cfg: ModelConfig, path) -> None:
+    """Refuse a checkpoint whose tensor names or shapes differ from what ``cfg`` builds."""
+    want = init_params(cfg, dtype=params.dtype)
+    names = set(want.names() + want.buffer_names())
+    for name in sorted(names | set(params.names() + params.buffer_names())):
+        if name not in params:
+            raise CheckpointError(f"{path}: tensor {name!r} of the model config is missing")
+        if name not in names:
+            raise CheckpointError(f"{path}: tensor {name!r} is not in the model config")
+        got, expected = params[name].shape, want[name].shape
+        if got != expected:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {got}, the model config gives {expected}"
+            )
+
+
 def evaluate(checkpoint, corpus: Corpus, predictions_path=None, batch_size: int = 64) -> Metrics:
     """Metrics of a stored (or in-memory ``(params, config)``) model on a corpus."""
     if isinstance(checkpoint, (str, os.PathLike)):
         params, extra = load_checkpoint(checkpoint)
         cfg = ModelConfig.from_obj(extra["model_config"])
+        _check_tensors(params, cfg, checkpoint)
         _check_digest(extra["vocab_digest"], corpus)
     else:
         params, cfg = checkpoint

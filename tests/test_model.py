@@ -292,9 +292,11 @@ class TestBottomUpStep:
         rng = np.random.default_rng(6)
         e = rng.standard_normal((1, cfg.d))
         H = rng.standard_normal((5, cfg.d))
-        base = bottom_up_step(constant(e), constant(H), params, cfg).data
+        base = bottom_up_step(constant(e), [(constant(H[None]), None, None)], params, cfg).data
         perm = rng.permutation(5)
-        permuted = bottom_up_step(constant(e), constant(H[perm]), params, cfg).data
+        permuted = bottom_up_step(
+            constant(e), [(constant(H[perm][None]), None, None)], params, cfg
+        ).data
         np.testing.assert_allclose(permuted, base, atol=1e-12)
 
     def test_direct_transcription_oracle(self):
@@ -306,9 +308,39 @@ class TestBottomUpStep:
         rng = np.random.default_rng(7)
         e = rng.standard_normal(cfg.d)
         H = rng.standard_normal((2, cfg.d))
-        got = bottom_up_step(constant(e[None]), constant(H), params, cfg).data[0]
+        got = bottom_up_step(
+            constant(e[None]), [(constant(H[None]), None, None)], params, cfg
+        ).data[0]
         expected = oracle_bottom_up(e, H, np_params(params), cfg)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags", [{}, {"use_fraternal_attention": False, "pe_before_parental": True}]
+    )
+    def test_level_of_blocks_matches_per_parent_calls(self, flags):
+        """One call over blocks of different widths, with padding, equals one call per parent."""
+        cfg = small_config(**flags)
+        params = init_params(cfg, seed=15)
+        rng = np.random.default_rng(9)
+        counts = [[2, 1, 2], [4, 3], [1]]  # children per parent, one list per block
+        e = rng.standard_normal((6, cfg.d))
+        kids = [[rng.standard_normal((c, cfg.d)) for c in block] for block in counts]
+        blocks = []
+        for block in kids:
+            w = max(len(k) for k in block)
+            H = np.zeros((len(block), w, cfg.d))
+            mask = np.zeros((len(block), w))
+            for b, k in enumerate(block):
+                H[b, : len(k)] = k
+                mask[b, : len(k)] = 1.0
+            mask_add = ((1.0 - mask) * MASK_FILL)[:, None, None, :]
+            blocks.append((constant(H), mask_add, np.array([len(k) for k in block])))
+        got = bottom_up_step(constant(e), blocks, params, cfg).data
+        alone = [k for block in kids for k in block]
+        for i, k in enumerate(alone):
+            block = [(constant(k[None]), None, None)]
+            want = bottom_up_step(constant(e[i : i + 1]), block, params, cfg).data[0]
+            assert np.abs(got[i] - want).max() <= 1e-10
 
 
 class TestTopDownStep:
@@ -434,7 +466,7 @@ class TestAblations:
         rng = np.random.default_rng(11)
         e = rng.standard_normal((1, cfg.d))
         H = rng.standard_normal((3, cfg.d))
-        got = bottom_up_step(constant(e), constant(H), params, cfg).data
+        got = bottom_up_step(constant(e), [(constant(H[None]), None, None)], params, cfg).data
         p = np_params(params)
         attended = oracle_mha(
             e, H, H, p["up.par.wq"], p["up.par.wk"], p["up.par.wv"], p["up.par.wo"],
@@ -453,7 +485,7 @@ class TestAblations:
         rng = np.random.default_rng(12)
         e = rng.standard_normal((1, cfg.d))
         H = rng.standard_normal((3, cfg.d))
-        got = bottom_up_step(constant(e), constant(H), params, cfg).data
+        got = bottom_up_step(constant(e), [(constant(H[None]), None, None)], params, cfg).data
         p = np_params(params)
         H1 = H + p["up.frat.pos"][:3]
         attended = oracle_mha(
@@ -598,10 +630,10 @@ class TestHeads:
         """Equal-symbol candidates tie exactly without top-down flow, at any row position."""
         records = gen_wrongop_corpus(128, 2, seed=714)
         pairs = 0
-        for dtype in ("float64", "float32"):
-            cfg = wrongop_config(d=16, max_children=16, use_top_down=False)
+        for d, dtype in itertools.product((16, 64), ("float64", "float32")):
+            cfg = wrongop_config(d=d, max_children=16, use_top_down=False)
             params = init_params(cfg, seed=2, dtype=dtype)
-            for size in (32, 64):
+            for size in (1, 2, 3, 4, 5, 6, 7, 32, 64):
                 for start in range(0, len(records), size):
                     batch = records[start : start + size]
                     logits = task_forward("wrongop", batch, params, cfg).logits
@@ -610,7 +642,7 @@ class TestHeads:
                         tokens = [rec.tree.node(c).token_id for c in cands]
                         for i, j in itertools.combinations(range(len(cands)), 2):
                             if tokens[i] == tokens[j]:
-                                assert row[i] == row[j], (dtype, size, start, rec.target_node)
+                                assert row[i] == row[j], (d, dtype, size, start, rec.target_node)
                                 pairs += 1
         assert pairs > 200
 

@@ -103,6 +103,13 @@ class TestMatmulFamily:
                     expected[i, j] += a[i, k] * b[k, j]
         np.testing.assert_allclose(matmul(constant(a), constant(b)).data, expected, atol=1e-12)
 
+    def test_batched_input_shared_weight(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 3, 2, 5))
+        w = rng.standard_normal((5, 6))
+        got = matmul(constant(a), constant(w)).data
+        np.testing.assert_allclose(got, np.matmul(a, w), rtol=1e-12, atol=1e-12)
+
     def test_broadcast_add_row(self):
         v = np.array([1.0, 2.0, 3.0])
         out = broadcast_add_row(constant(np.zeros((3, 3))), constant(v))
@@ -265,6 +272,30 @@ def test_primitive_gradients(name):
     assert grad_check(PRIMITIVE_CASES[name], params, eps=1e-6) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "a_shape, transposed, weight_3d",
+    [((2, 3, 4), False, False), ((3, 2, 4), True, False), ((2, 2, 3, 4), False, False),
+     ((2, 3, 4), False, True)],
+    ids=["3d", "3d_transposed", "4d", "3d_weight"],
+)
+def test_shared_weight_matmul_gradients(a_shape, transposed, weight_3d):
+    """A batched input against a 2-D weight (one flat product) and against the
+    same weight broadcast as 3-D (one product per batch entry)."""
+    rng = np.random.default_rng(5)
+    params = ParamStore("float64")
+    params.add_param("a", rng.standard_normal(a_shape))
+    params.add_param("w", rng.standard_normal((4, 5)))
+    out_shape = (a_shape[1], a_shape[0], *a_shape[2:-1], 5) if transposed else a_shape[:-1] + (5,)
+    weights = constant(rng.standard_normal(out_shape))
+
+    def f(p):
+        a = nm.transpose(p["a"], (1, 0, 2)) if transposed else p["a"]
+        w = nm.reshape(p["w"], (1, 4, 5)) if weight_3d else p["w"]
+        return nm.sum_all(nm.mul(matmul(a, w), weights))
+
+    assert grad_check(f, params, eps=1e-6) < 1e-6
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(9)
@@ -291,6 +322,19 @@ class TestBackward:
     def test_seed_grad_required_for_nonscalar(self):
         with pytest.raises(ShapeError):
             backward(nm.add(constant([1.0, 2.0]), constant([0.0, 0.0])))
+
+    def test_first_gradients_are_not_shared(self):
+        """``add`` hands one array to both parents; each must own its gradient."""
+        params = ParamStore("float64")
+        a = params.add_param("a", np.zeros((2, 3)))
+        b = params.add_param("b", np.zeros((2, 3)))
+        seed = np.ones((2, 3))
+        backward(nm.add(a, b), seed)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, seed)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(seed, np.ones((2, 3)))
 
     def test_intermediate_grads_available(self):
         params = ParamStore("float64")

@@ -7,7 +7,7 @@ import pytest
 
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
 from treeformer.model import ModelConfig, init_params
-from treeformer.numerics import ParamStore
+from treeformer.numerics import CheckpointError, ParamStore
 from treeformer.synth import Corpus, MutationRecord, gen_classify_corpus, gen_wrongop_corpus
 from treeformer.training import (
     AdamState,
@@ -292,6 +292,21 @@ class TestEvaluate:
         direct = evaluate((result.params, result.model_config), corpus)
         via_file = evaluate(tmp_path / "checkpoint.json", corpus)
         assert direct.to_dict() == via_file.to_dict()
+
+    def test_checkpoint_not_matching_config_refused(self, tmp_path):
+        corpus = classify_corpus()
+        train(tiny_train_config(epochs=1), corpus, out_dir=tmp_path)
+        path = tmp_path / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        manifest["extra"]["model_config"]["classify_classes"] += 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=r"'head\.classify\.b' has shape \(\d+,\)"):
+            evaluate(path, corpus)
+        manifest["extra"]["model_config"]["classify_classes"] -= 1
+        manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != "pool.gate"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=r"'pool\.gate' of the model config is missing"):
+            evaluate(path, corpus)
 
     def test_digest_mismatch_refused(self, tmp_path):
         corpus = classify_corpus()
