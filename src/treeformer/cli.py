@@ -402,9 +402,14 @@ def _cap_threads(argv: list[str]) -> None:
             threads = argv[i + 1]
         elif arg.startswith("--threads="):
             threads = arg.split("=", 1)[1]
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(int(threads))
+    if threads is None:
+        return
+    if not threads.isdecimal() or int(threads) < 1:
+        _fail("UsageError", f"--threads needs an integer >= 1, got {threads!r}", code=2)
+    if "numpy" in sys.modules:
+        sys.stderr.write("note: --threads has no effect, numpy is already loaded\n")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(int(threads))
 
 
 def main(argv: list[str] | None = None) -> int:

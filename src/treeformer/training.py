@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -23,6 +24,7 @@ from .numerics import (
     CheckpointError,
     ParamStore,
     Tensor,
+    _replace_atomically,
     add,
     backward,
     constant,
@@ -254,15 +256,22 @@ class TaskForward:
     repair_targets: np.ndarray | None = None  # wrongop: original operator per tree
 
 
+def _padded_slots(widths: list[int], rows: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``rows``, ``widths[i]`` of them for item ``i``, laid out as ``[B, max(widths)]``
+    slots: the row per slot (0 at padding) and an additive fill (``MASK_FILL``
+    at padding)."""
+    real = np.arange(max(widths)) < np.asarray(widths)[:, None]
+    idx = np.zeros(real.shape, dtype=np.intp)
+    idx[real] = rows
+    return idx, np.where(real, 0.0, MASK_FILL).astype(dtype)
+
+
 def pooled_rows(D: Tensor, schedule: Schedule, params: ParamStore) -> Tensor:
     """Gated softmax pool of each tree's final node rows: one [B, d] row per tree."""
+    # tree t's rows follow tree t - 1's, so the trees' rows in order are 0..n_rows - 1
     widths = [len(index) for index in schedule.row_index]
-    b, width, d = len(widths), max(widths), D.shape[1]
-    idx = np.zeros((b, width), dtype=np.intp)
-    fill = np.full((b, width), MASK_FILL, dtype=D.dtype)
-    for t, index in enumerate(schedule.row_index):
-        idx[t, : widths[t]] = [index[nid] for nid in sorted(index)]
-        fill[t, : widths[t]] = 0.0
+    idx, fill = _padded_slots(widths, np.arange(schedule.n_rows), D.dtype)
+    (b, width), d = idx.shape, D.shape[1]
     rows = reshape(gather_rows(D, idx.reshape(-1)), (b, width, d))
     gates = add(reshape(matmul(rows, params["pool.gate"]), (b, width)), constant(fill))
     weights = reshape(softmax(gates), (b, 1, width))
@@ -283,12 +292,9 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
         return TaskForward(cross_entropy(logits, labels), len(trees), logits.data, labels)
     if task == "wrongop":
         cands = [operator_nodes(tree) for tree in trees]
-        b, width, d = len(trees), max(map(len, cands)), cfg.d
-        slots = np.zeros((b, width), dtype=np.intp)
-        fill = np.full((b, width), MASK_FILL, dtype=D.dtype)
-        for i, cand in enumerate(cands):
-            slots[i, : len(cand)] = [schedule.row_index[i][nid] for nid in cand]
-            fill[i, : len(cand)] = 0.0
+        rows = [schedule.row_index[i][nid] for i, cand in enumerate(cands) for nid in cand]
+        slots, fill = _padded_slots(list(map(len, cands)), rows, D.dtype)
+        (b, width), d = slots.shape, cfg.d
         crows = gather_rows(D, slots.reshape(-1))
         # one dot per candidate: a flat [rows, d] @ [d, 1] product rounds by
         # row position, which would give equal-content candidates unequal
@@ -417,10 +423,10 @@ def evaluate(checkpoint, corpus: Corpus, predictions_path=None, batch_size: int 
         raise ValueError(f"model head is {cfg.task!r} but corpus task is {corpus.task!r}")
     metrics, predictions = _evaluate_params(params, cfg, corpus, batch_size)
     if predictions_path:
-        with open(predictions_path, "w", encoding="utf-8") as fh:
-            for row in predictions:
-                fh.write(json.dumps(row, separators=(",", ":")))
-                fh.write("\n")
+        _write_text(
+            predictions_path,
+            "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in predictions),
+        )
     return metrics
 
 
@@ -435,6 +441,14 @@ class TrainResult:
     final_eval: Metrics | None
     checkpoint_path: str | None
     steps: int
+
+
+def _write_text(path, text: str) -> None:
+    _replace_atomically(os.fspath(path), text.encode("utf-8"))
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
 def code_version() -> str:
@@ -489,9 +503,7 @@ def train(
             "package_version": __version__,
             "code_version": code_version(),
         }
-        with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_text(os.path.join(out_dir, "run_manifest.json"), _json_text(manifest))
 
     history: list[dict] = []
     step = 0
@@ -551,10 +563,11 @@ def train(
     checkpoint_path = save(params)
     if out_dir:
         fields = sorted({key for row in history for key in row})
-        with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(history)
+        text = io.StringIO()  # csv's \r\n line endings pass through unchanged
+        writer = csv.DictWriter(text, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(history)
+        _write_text(os.path.join(out_dir, "metrics.csv"), text.getvalue())
         if eval_corpus is not None:
             final_eval = evaluate(
                 (params, cfg),
@@ -568,8 +581,6 @@ def train(
             "train_loss": history[-1]["train_loss"] if history else None,
             "eval": final_eval.to_dict() if final_eval else None,
         }
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
 
     return TrainResult(params, cfg, history, final_eval, checkpoint_path, step)

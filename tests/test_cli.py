@@ -1,8 +1,10 @@
 import json
+import os
+import sys
 
 import pytest
 
-from treeformer.cli import build_parser, main
+from treeformer.cli import _cap_threads, build_parser, main
 
 
 def run(capsys, *argv):
@@ -233,3 +235,34 @@ class TestHelp:
             "parse", "synth-classify", "synth-wrongop", "train", "eval",
             "gradcheck", "bench", "inspect",
         }
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestThreads:
+    @pytest.fixture(autouse=True)
+    def _keep_env(self, monkeypatch):
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "", "²"])
+    def test_bad_value_usage_error(self, capsys, value):
+        code, _, err = run_fail(capsys, "parse", "--source", "a = 1;", "--threads", value)
+        assert code == 2
+        assert json.loads(err)["error"] == "UsageError"
+        code, _, err = run_fail(capsys, "parse", "--source", "a = 1;", f"--threads={value}")
+        assert code == 2
+        assert json.loads(err)["error"] == "UsageError"
+
+    def test_note_when_numpy_already_loaded(self, capsys):
+        code, _, err = run(capsys, "parse", "--source", "a = 1;", "--threads", "2")
+        assert code == 0
+        assert err.startswith("note: --threads has no effect")
+        assert all(os.environ[var] == "2" for var in THREAD_VARS)
+
+    def test_no_note_before_numpy_loads(self, capsys, monkeypatch):
+        monkeypatch.delitem(sys.modules, "numpy")
+        _cap_threads(["train", "--threads=3"])
+        assert capsys.readouterr().err == ""
+        assert all(os.environ[var] == "3" for var in THREAD_VARS)

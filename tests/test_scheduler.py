@@ -16,6 +16,20 @@ from treeformer.scheduler import (
 from treeformer.trees import depth, depths, parent_map, random_tree
 
 
+def node_at(schedule):
+    """(tree, node id) per global row, read from ``row_index``."""
+    return {
+        row: (t, nid) for t, index in enumerate(schedule.row_index) for nid, row in index.items()
+    }
+
+
+def produced(schedule, group, top_down=False):
+    """The (tree, node id) pairs whose states a level produces."""
+    at = node_at(schedule)
+    col = [b.child_rows[:, 0] if top_down else b.parents for b in group.buckets]
+    return [at[int(r)] for r in np.concatenate(col)]
+
+
 def mixed_forest(rng):
     """A random forest with a single-node tree, a chain and a 16-child star."""
     batch = [make_tree({}), chain(int(rng.integers(2, 9))), star(16)]
@@ -37,17 +51,19 @@ class TestBuildSchedule:
         schedule = build_schedule([chain(4)])
         assert len(schedule.bottom_up_levels) == 3
         assert len(schedule.top_down_levels) == 3
-        for group in schedule.bottom_up_levels + schedule.top_down_levels:
-            assert len(group.members) == 1
+        for group in schedule.bottom_up_levels:
+            assert len(produced(schedule, group)) == 1
+        for group in schedule.top_down_levels:
+            assert len(produced(schedule, group, top_down=True)) == 1
 
     def test_twin_trees_coscheduled(self):
         tree = make_tree({0: [1, 2], 2: [3, 4]})
         schedule = build_schedule([tree, tree])
         for group in schedule.bottom_up_levels:
-            members = {t for t, _ in group.members}
-            assert members == {0, 1}  # same-height nodes of both trees together
-            nodes0 = {n for t, n in group.members if t == 0}
-            nodes1 = {n for t, n in group.members if t == 1}
+            members = produced(schedule, group)
+            assert {t for t, _ in members} == {0, 1}  # same-height nodes of both trees together
+            nodes0 = {n for t, n in members if t == 0}
+            nodes1 = {n for t, n in members if t == 1}
             assert nodes0 == nodes1
 
     def test_group_count_bound(self):
@@ -64,23 +80,31 @@ class TestBuildSchedule:
     def test_power_of_two_bucket_widths(self):
         tree = star(5)
         schedule = build_schedule([tree])
-        widths = [b.width for g in schedule.bottom_up_levels for b in g.buckets]
+        widths = [b.child_rows.shape[1] for g in schedule.bottom_up_levels for b in g.buckets]
         assert widths == [8]
+
+    def test_row_index_is_ids_ascending_on_consecutive_rows(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            batch = mixed_forest(rng)
+            schedule = build_schedule(batch)
+            start = 0
+            for tree, index in zip(batch, schedule.row_index):
+                assert list(index.items()) == [
+                    (nid, start + i) for i, nid in enumerate(sorted(tree.nodes))
+                ]
+                start += len(tree)
+            assert schedule.n_rows == start
 
     def test_top_down_levels_are_unpadded_rows(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             batch = mixed_forest(rng)
             schedule = build_schedule(batch)
-            at_row = {
-                row: (t, nid)
-                for t, index in enumerate(schedule.row_index)
-                for nid, row in index.items()
-            }
             for level, group in enumerate(schedule.top_down_levels, start=2):
                 (bucket,) = group.buckets
-                assert bucket.width == 1
-                assert bucket.mask.shape == (len(group.members), 1)
+                got = produced(schedule, group, top_down=True)
+                assert bucket.child_rows.shape == bucket.mask.shape == (len(got), 1)
                 assert np.all(bucket.mask == 1.0)
                 assert np.all(bucket.child_counts == 1)
                 expected = sorted(
@@ -89,17 +113,22 @@ class TestBuildSchedule:
                     for nid, dp in depths(tree).items()
                     if dp == level
                 )
-                got = [at_row[int(r)] for r in bucket.child_rows[:, 0]]
-                assert sorted(got) == sorted(group.members) == expected
+                assert sorted(got) == expected
                 for b, (t, nid) in enumerate(got):
                     parent = parent_map(batch[t])[nid]
                     assert bucket.parents[b] == schedule.row_index[t][parent]
-                    assert bucket.parent_members[b] == (t, parent)
             check_schedule(schedule, batch)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             build_schedule([])
+
+
+def _tamper_bucket(group, i=0, **fields):
+    """The group with bucket ``i``'s arrays replaced."""
+    buckets = list(group.buckets)
+    buckets[i] = replace(buckets[i], **fields)
+    return Group(buckets)
 
 
 class TestCheckSchedule:
@@ -121,7 +150,6 @@ class TestCheckSchedule:
             top_down_levels=schedule.top_down_levels,
             row_index=schedule.row_index,
             n_rows=schedule.n_rows,
-            max_depth=schedule.max_depth,
         )
         with pytest.raises(DependencyViolation):
             check_schedule(swapped, batch)
@@ -134,7 +162,6 @@ class TestCheckSchedule:
             top_down_levels=schedule.top_down_levels,
             row_index=schedule.row_index,
             n_rows=schedule.n_rows,
-            max_depth=schedule.max_depth,
         )
         with pytest.raises(DependencyViolation):
             check_schedule(truncated, batch)
@@ -146,25 +173,78 @@ class TestCheckSchedule:
         bucket = group.buckets[0]
         bad_mask = bucket.mask.copy()
         bad_mask[0, 0] = 0.0
-        bad_bucket = Bucket(
-            bucket.width, bucket.parents, bucket.child_rows, bad_mask,
-            bucket.child_counts, bucket.parent_members,
-        )
+        bad_bucket = Bucket(bucket.parents, bucket.child_rows, bad_mask, bucket.child_counts)
         tampered = Schedule(
-            bottom_up_levels=[Group(group.members, [bad_bucket])],
+            bottom_up_levels=[Group([bad_bucket])],
             top_down_levels=schedule.top_down_levels,
             row_index=schedule.row_index,
             n_rows=schedule.n_rows,
-            max_depth=schedule.max_depth,
         )
         with pytest.raises(DependencyViolation):
             check_schedule(tampered, batch)
 
+    def test_unmasked_padding_rejected(self):
+        batch = [star(3)]  # three children in a width-4 bucket
+        schedule = build_schedule(batch)
+        (level,) = schedule.bottom_up_levels
+        (bucket,) = level.buckets
+        tampered = [_tamper_bucket(level, mask=np.ones_like(bucket.mask))]
+        with pytest.raises(DependencyViolation, match="padding slot unmasked"):
+            check_schedule(replace(schedule, bottom_up_levels=tampered), batch)
 
-def _tamper_row(group, **fields):
-    """The group with its one top-down bucket's arrays replaced."""
-    (bucket,) = group.buckets
-    return Group(group.members, [replace(bucket, **fields)])
+    def test_extra_empty_level_rejected(self):
+        batch = [chain(3)]
+        schedule = build_schedule(batch)
+        empty = Bucket(
+            np.zeros(0, np.intp), np.zeros((0, 1), np.intp), np.zeros((0, 1)), np.zeros(0, np.intp)
+        )
+        tampered = replace(
+            schedule, top_down_levels=[*schedule.top_down_levels, Group([empty])]
+        )
+        with pytest.raises(DependencyViolation, match="sequential groups"):
+            check_schedule(tampered, batch)
+
+    def test_wrong_child_row_rejected(self):
+        batch = [make_tree({0: [1, 2], 1: [3, 4, 5], 2: [6]}), star(3)]
+        schedule = build_schedule(batch)
+        levels = list(schedule.bottom_up_levels)
+        bucket = levels[0].buckets[-1]  # width 4: node 1 of tree 0, then tree 1's root
+        wrong = bucket.child_rows.copy()
+        wrong[0, [0, 1]] = wrong[0, [1, 0]]  # two siblings swapped
+        levels[0] = _tamper_bucket(levels[0], len(levels[0].buckets) - 1, child_rows=wrong)
+        with pytest.raises(DependencyViolation, match="child row mismatch at slot 0"):
+            check_schedule(replace(schedule, bottom_up_levels=levels), batch)
+
+    def test_parent_listed_twice_rejected(self):
+        batch = [star(3), star(3)]
+        schedule = build_schedule(batch)
+        levels = list(schedule.bottom_up_levels)
+        (bucket,) = levels[0].buckets
+        twice = np.array([0, 0, 1])  # the first star's root twice, then the second's
+        levels[0] = _tamper_bucket(
+            levels[0],
+            parents=bucket.parents[twice],
+            child_rows=bucket.child_rows[twice],
+            mask=bucket.mask[twice],
+            child_counts=bucket.child_counts[twice],
+        )
+        with pytest.raises(DependencyViolation, match="scheduled twice in bottom-up order"):
+            check_schedule(replace(schedule, bottom_up_levels=levels), batch)
+
+    @pytest.mark.parametrize("how", ["ids not ascending", "gap between trees", "trees swapped"])
+    def test_row_index_off_layout_rejected(self, how):
+        batch = [make_tree({0: [1, 2], 2: [3]}), chain(3)]
+        schedule = build_schedule(batch)
+        first, second = (dict(index) for index in schedule.row_index)
+        if how == "ids not ascending":
+            first[1], first[2] = first[2], first[1]
+        elif how == "gap between trees":
+            second = {nid: row + 1 for nid, row in second.items()}
+        else:
+            first = {nid: row + len(second) for nid, row in first.items()}
+            second = {nid: row - len(first) for nid, row in second.items()}
+        with pytest.raises(DependencyViolation, match="row_index"):
+            check_schedule(replace(schedule, row_index=[first, second]), batch)
 
 
 class TestCheckTopDown:
@@ -175,8 +255,31 @@ class TestCheckTopDown:
     def test_reversed_levels_rejected(self):
         batch, schedule = self._schedule()
         tampered = replace(schedule, top_down_levels=list(reversed(schedule.top_down_levels)))
-        with pytest.raises(DependencyViolation, match="not computed yet"):
+        with pytest.raises(DependencyViolation, match="not computed by the level before"):
             check_schedule(tampered, batch)
+
+    def test_parent_two_levels_up_rejected(self):
+        # the executor reads a top-down parent from the level before, so a
+        # depth-2 node moved to level 3 would read a wrong row for its root
+        batch = [chain(4), star(2)]
+        schedule = build_schedule(batch)
+        levels = list(schedule.top_down_levels)
+        (b2,), (b3,) = levels[0].buckets, levels[1].buckets
+        moved = schedule.row_index[1][2]  # a leaf of the star, at depth 2
+        assert b2.child_rows[-1, 0] == moved
+        levels[0] = _tamper_bucket(
+            levels[0], parents=b2.parents[:-1], child_rows=b2.child_rows[:-1],
+            mask=b2.mask[:-1], child_counts=b2.child_counts[:-1],
+        )
+        levels[1] = _tamper_bucket(
+            levels[1],
+            parents=np.append(b3.parents, b2.parents[-1]),
+            child_rows=np.vstack([b3.child_rows, b2.child_rows[-1:]]),
+            mask=np.vstack([b3.mask, b2.mask[-1:]]),
+            child_counts=np.append(b3.child_counts, 1),
+        )
+        with pytest.raises(DependencyViolation, match="tree 1, node 2: parent 0 not computed by"):
+            check_schedule(replace(schedule, top_down_levels=levels), batch)
 
     def test_dropped_level_rejected(self):
         batch, schedule = self._schedule()
@@ -188,15 +291,29 @@ class TestCheckTopDown:
         batch, schedule = self._schedule()
         levels = list(schedule.top_down_levels)
         (bucket,) = levels[1].buckets
-        levels[1] = _tamper_row(
+        levels[1] = _tamper_bucket(
             levels[1],
             parents=bucket.parents[1:],
             child_rows=bucket.child_rows[1:],
             mask=bucket.mask[1:],
             child_counts=bucket.child_counts[1:],
-            parent_members=bucket.parent_members[1:],
         )
-        with pytest.raises(DependencyViolation, match="disagree"):
+        with pytest.raises(DependencyViolation, match="never scheduled"):
+            check_schedule(replace(schedule, top_down_levels=levels), batch)
+
+    def test_row_listed_twice_rejected(self):
+        batch, schedule = self._schedule()
+        levels = list(schedule.top_down_levels)
+        (bucket,) = levels[1].buckets
+        twice = np.array([0, *range(len(bucket.parents))])
+        levels[1] = _tamper_bucket(
+            levels[1],
+            parents=bucket.parents[twice],
+            child_rows=bucket.child_rows[twice],
+            mask=bucket.mask[twice],
+            child_counts=bucket.child_counts[twice],
+        )
+        with pytest.raises(DependencyViolation, match="scheduled twice in top-down order"):
             check_schedule(replace(schedule, top_down_levels=levels), batch)
 
     def test_wrong_parent_row_rejected(self):
@@ -205,7 +322,7 @@ class TestCheckTopDown:
         (bucket,) = levels[1].buckets
         wrong = bucket.parents.copy()
         wrong[0] = schedule.row_index[0][0]  # the root: computed, but a grandparent
-        levels[1] = _tamper_row(levels[1], parents=wrong)
+        levels[1] = _tamper_bucket(levels[1], parents=wrong)
         with pytest.raises(DependencyViolation, match="parent row mismatch"):
             check_schedule(replace(schedule, top_down_levels=levels), batch)
 
@@ -213,9 +330,8 @@ class TestCheckTopDown:
         batch, schedule = self._schedule()
         levels = list(schedule.top_down_levels)
         (bucket,) = levels[0].buckets
-        levels[0] = _tamper_row(
+        levels[0] = _tamper_bucket(
             levels[0],
-            width=2,
             child_rows=np.pad(bucket.child_rows, ((0, 0), (0, 1))),
             mask=np.pad(bucket.mask, ((0, 0), (0, 1))),
         )

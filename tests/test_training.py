@@ -216,6 +216,35 @@ class TestTrainLoop:
         assert manifest["vocab_digest"] == MINI_VOCAB.digest()
         assert "code_version" in manifest and "train_config" in manifest
 
+    @pytest.mark.parametrize("failing_write", range(6))
+    def test_failed_write_leaves_previous_file_whole(self, tmp_path, monkeypatch, failing_write):
+        import os
+
+        # the order in which a run writes its files
+        names = (
+            "run_manifest.json", "checkpoint.json.bin", "checkpoint.json",
+            "metrics.csv", "predictions.jsonl", "summary.json",
+        )
+        corpus = classify_corpus()
+        train(tiny_train_config(), corpus, eval_corpus=corpus, out_dir=tmp_path)
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        writes = []
+
+        def fsync(fd):
+            writes.append(fd)
+            if len(writes) > failing_write:
+                raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="disk full"):
+            train(tiny_train_config(seed=2), corpus, eval_corpus=corpus, out_dir=tmp_path)
+        monkeypatch.undo()
+        after = {name: (tmp_path / name).read_bytes() for name in names}
+        failed = names[failing_write]
+        assert after[failed] == before[failed]
+        # every earlier file was replaced whole by the new run's
+        assert all(after[name] != before[name] for name in names[:failing_write])
+
     def test_early_stop_target(self):
         corpus = classify_corpus(classes=2, per_class=8)
         config = tiny_train_config(epochs=40, target={"accuracy": 0.9})
