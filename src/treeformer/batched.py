@@ -23,6 +23,7 @@ from .model import (
     ModelConfig,
     NodeStates,
     bottom_up_step,
+    check_finite_states,
     embed_rows,
     top_down_step,
 )
@@ -40,10 +41,6 @@ from .numerics import (
 )
 from .scheduler import Bucket, Schedule, build_schedule
 from .trees import SyntaxTree, tree_arrays
-
-
-def _np_dtype(params: ParamStore):
-    return np.float64 if params.dtype == "float64" else np.float32
 
 
 def _read_children(
@@ -73,11 +70,11 @@ def batch_state_tensors(
 
     All three are ``[n_rows, d]`` in the ``schedule.row_index`` layout.
     ``pad_rng``, when given, fills the bottom-up buckets' padded slots with
-    random values instead of zeros (leak testing only).
+    random values instead of zeros (leak testing only). Raises NonFiniteError
+    naming the pass, tree and node if a returned state holds NaN or Inf.
     """
     if schedule is None:
         schedule = build_schedule(trees)
-    dtype = _np_dtype(params)
     d = config.d
     arrays = tree_arrays(trees)
     X = embed_rows(
@@ -86,6 +83,7 @@ def batch_state_tensors(
         np.concatenate([a.type_id for a in arrays]),
         np.concatenate([a.token_plus1 for a in arrays]),
     )
+    dtype = X.dtype
 
     # levels[h] holds the bottom-up states of height h, levels[0] = X those
     # of the leaves; row r's state is row pos[r] of levels[level_of[r]]
@@ -111,6 +109,7 @@ def batch_state_tensors(
     S = X
     if level_rows:
         S = scatter_rows(X, np.concatenate(level_rows), concat(levels[1:], axis=0))
+    check_finite_states(S.data, "bottom-up", schedule.node_at)
 
     if not config.use_top_down:
         return X, S, S, schedule
@@ -131,6 +130,7 @@ def batch_state_tensors(
     D = S
     if downs:
         D = scatter_rows(S, np.concatenate(down_rows), concat(downs, axis=0))
+    check_finite_states(D.data, "top-down", schedule.node_at)
     return X, S, D, schedule
 
 

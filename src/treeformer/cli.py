@@ -158,15 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_common(
         sub.add_parser("bench", help="attention-memory scaling report (CSV)"),
         {"sizes": "100,200,400,800", "trees_per_size": 8, "max_children": 6,
-         "dim": 32, "heads": 4, "seed": 0},
+         "heads": 4, "seed": 0},
     )
     p.add_argument("--sizes", default=S, help="comma-separated mean tree sizes (default: 100,200,400,800)")
     p.add_argument("--trees-per-size", dest="trees_per_size", type=int, default=S,
                    help="trees per size point (default: 8)")
     p.add_argument("--max-children", dest="max_children", type=int, default=S,
                    help="branching bound (default: 6)")
-    p.add_argument("--dim", type=int, default=S, help="state width for measured pass (default: 32)")
-    p.add_argument("--heads", type=int, default=S, help="attention heads (default: 4)")
+    p.add_argument("--heads", type=int, default=S,
+                   help="attention heads, for the allocated cells (default: 4)")
     p.add_argument("--seed", type=int, default=S, help="tree generator seed (default: 0)")
 
     p = _add_common(sub.add_parser("inspect", help="corpus statistics as JSON"), {})
@@ -313,38 +313,24 @@ def _cmd_gradcheck(opts, args):
 def _cmd_bench(opts, args):
     import numpy as np
 
-    from .batched import batch_state_tensors
-    from .model import ModelConfig, init_params, meter
-    from .scheduler import cost_report
+    from .scheduler import build_schedule, cost_report
     from .trees import random_tree
 
+    if opts["heads"] < 1:
+        _fail("UsageError", f"--heads needs an integer >= 1, got {opts['heads']}", code=2)
     sizes = [int(s) for s in str(opts["sizes"]).split(",") if s]
-    cfg = ModelConfig(
-        d=opts["dim"],
-        heads=opts["heads"],
-        type_vocab_size=8,
-        token_vocab_size=8,
-        max_children=opts["max_children"],
-        classify_classes=2,
-    )
-    params = init_params(cfg, seed=opts["seed"])
     rng = np.random.default_rng(opts["seed"])
-    print(
-        "mean_nodes,trees,attention_cells,full_attention_cells,ratio,"
-        "measured_score_cells,measured_allocated_cells,measured_peak_cells"
-    )
+    print("mean_nodes,trees,attention_cells,full_attention_cells,ratio,allocated_cells,peak_cells")
     for size in sizes:
         trees = [
             random_tree(rng, size, opts["max_children"], 8, 8)
             for _ in range(opts["trees_per_size"])
         ]
-        report = cost_report(trees)
-        meter.reset()
-        batch_state_tensors(trees, params, cfg)
+        report = cost_report(build_schedule(trees), opts["heads"])
         ratio = report.full_attention_cells / report.attention_cells
         print(
             f"{size},{len(trees)},{report.attention_cells},{report.full_attention_cells},"
-            f"{ratio:.4f},{meter.score_cells},{meter.allocated_cells},{meter.peak_cells}"
+            f"{ratio:.4f},{report.allocated_cells},{report.peak_cells}"
         )
     return 0
 

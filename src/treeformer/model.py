@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .numerics import (
+    NonFiniteError,
     ParamStore,
     Tensor,
     add,
@@ -120,33 +121,6 @@ class NodeStates:
 
     up: dict[int, np.ndarray]
     down: dict[int, np.ndarray]
-
-
-@dataclass
-class AttentionMeter:
-    """Counts sibling-attention score cells as buffers are materialized.
-
-    ``score_cells`` is the logical per-head count (k^2 per interior node);
-    ``allocated_cells`` includes heads and bucket padding; ``peak_cells`` is
-    the largest single score buffer.
-    """
-
-    score_cells: int = 0
-    allocated_cells: int = 0
-    peak_cells: int = 0
-
-    def record(self, real: int, allocated: int) -> None:
-        self.score_cells += int(real)
-        self.allocated_cells += int(allocated)
-        self.peak_cells = max(self.peak_cells, int(allocated))
-
-    def reset(self) -> None:
-        self.score_cells = 0
-        self.allocated_cells = 0
-        self.peak_cells = 0
-
-
-meter = AttentionMeter()
 
 
 def sinusoidal_rows(n: int, d: int, base: float = 100.0) -> np.ndarray:
@@ -322,14 +296,6 @@ def fraternal_attention(
     """
     n = H.shape[-2]
     _check_branching(config, n, child_counts)
-    if child_counts is None:
-        real = n * n
-        allocated = config.heads * n * n
-    else:
-        real = int((child_counts.astype(np.int64) ** 2).sum())
-        allocated = int(np.prod(H.shape[:-2])) * config.heads * n * n
-    meter.record(real, allocated)
-
     width = config.d_head if config.per_head_scaling else config.d
     denom = math.sqrt(2.0 * width)
     pos = None
@@ -501,6 +467,15 @@ def naive_state_tensors(
     return e, up, down
 
 
+def check_finite_states(states: np.ndarray, direction: str, node_at) -> None:
+    """Raise NonFiniteError naming the first node whose row of ``states`` holds
+    NaN or Inf; ``node_at(row)`` gives that row's (tree, node id)."""
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        tree, nid = node_at(int(bad[0]))
+        raise NonFiniteError(f"non-finite {direction} state at tree {tree}, node {nid}")
+
+
 def encode_tree(
     tree: SyntaxTree, params: ParamStore, config: ModelConfig, method: str = "naive"
 ) -> NodeStates:
@@ -511,6 +486,10 @@ def encode_tree(
     """
     if method == "naive":
         _, up, down = naive_state_tensors(tree, params, config)
+        ids = sorted(up)
+        for direction, states in (("bottom-up", up), ("top-down", down)):
+            rows = np.concatenate([states[nid].data for nid in ids])
+            check_finite_states(rows, direction, lambda row: (0, ids[row]))
         return NodeStates(
             {nid: t.data[0].copy() for nid, t in up.items()},
             {nid: t.data[0].copy() for nid, t in down.items()},

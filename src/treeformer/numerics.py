@@ -22,8 +22,6 @@ _FLOAT_DTYPES = {"float64": np.float64, "float32": np.float32}
 # so masked attention slots contribute exactly nothing.
 MASK_FILL = -1e30
 
-_check_finite = True
-
 
 class NonFiniteError(ArithmeticError):
     pass
@@ -35,21 +33,6 @@ class ShapeError(ValueError):
 
 class CheckpointError(Exception):
     pass
-
-
-def set_check_finite(flag: bool) -> bool:
-    """Toggle the per-primitive NaN/Inf guard; returns the previous setting."""
-    global _check_finite
-    prev = _check_finite
-    _check_finite = flag
-    return prev
-
-
-def _guard(arr: np.ndarray, op: str) -> None:
-    if _check_finite:
-        # one cheap reduction: any NaN/Inf poisons the sum
-        if not np.isfinite(arr.sum()):
-            raise NonFiniteError(f"non-finite values produced by {op}")
 
 
 class Tensor:
@@ -104,8 +87,7 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], bw, op: str) -> Tensor:
-    _guard(data, op)
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], bw) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -130,7 +112,7 @@ def add(a, b) -> Tensor:
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _make(data, (a, b), bw, "add")
+    return _make(data, (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
@@ -140,12 +122,12 @@ def sub(a, b) -> Tensor:
     def bw(g):
         return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
 
-    return _make(data, (a, b), bw, "sub")
+    return _make(data, (a, b), bw)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
+    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
@@ -158,13 +140,13 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape),
         )
 
-    return _make(data, (a, b), bw, "mul")
+    return _make(data, (a, b), bw)
 
 
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,), "scale")
+    return _make(a.data * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:
@@ -186,7 +168,7 @@ def matmul(a, b) -> Tensor:
             g = g.reshape(-1, g.shape[-1])
             return (g @ b.data.T).reshape(shape), flat.T @ g
 
-        return _make(data, (a, b), bw, "matmul")
+        return _make(data, (a, b), bw)
     data = np.matmul(a.data, b.data)
 
     def bw(g):
@@ -198,21 +180,19 @@ def matmul(a, b) -> Tensor:
             gb = _unbroadcast(gb, b.data.shape)
         return ga, gb
 
-    return _make(data, (a, b), bw, "matmul")
+    return _make(data, (a, b), bw)
 
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     inverse = tuple(np.argsort(axes))
-    return _make(
-        np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),), "transpose"
-    )
+    return _make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.data.shape
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),), "reshape")
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -224,7 +204,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     def bw(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make(data, tuple(parts), bw, "concat")
+    return _make(data, tuple(parts), bw)
 
 
 class RowGrad(NamedTuple):
@@ -258,7 +238,7 @@ def gather_rows(a, idx) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
-    return _make(data, (a,), lambda g: (RowGrad(idx, g),), "gather_rows")
+    return _make(data, (a,), lambda g: (RowGrad(idx, g),))
 
 
 def gather_rows_from(n: int, parts: Sequence[tuple]) -> Tensor:
@@ -277,7 +257,7 @@ def gather_rows_from(n: int, parts: Sequence[tuple]) -> Tensor:
     def bw(g):
         return tuple(RowGrad(idx, g[at]) for _, at, idx in parts)
 
-    return _make(data, sources, bw, "gather_rows_from")
+    return _make(data, sources, bw)
 
 
 def scatter_rows(a, idx, rows) -> Tensor:
@@ -295,7 +275,7 @@ def scatter_rows(a, idx, rows) -> Tensor:
         ga[idx] = 0.0
         return ga, g[idx]
 
-    return _make(data, (a, rows), bw, "scatter_rows")
+    return _make(data, (a, rows), bw)
 
 
 def select_columns(a, idx) -> Tensor:
@@ -311,21 +291,19 @@ def select_columns(a, idx) -> Tensor:
         ga[rows, idx] = g
         return (ga,)
 
-    return _make(data, (a,), bw, "select_columns")
+    return _make(data, (a,), bw)
 
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     shape = a.data.shape
-    return _make(
-        np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),), "sum_all"
-    )
+    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     keep = a.data > 0
-    return _make(a.data * keep, (a,), lambda g: (g * keep,), "relu")
+    return _make(a.data * keep, (a,), lambda g: (g * keep,))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -341,7 +319,7 @@ def softmax(a, axis: int = -1) -> Tensor:
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
-    return _make(y, (a,), bw, "softmax")
+    return _make(y, (a,), bw)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -356,7 +334,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     def bw(g):
         return (g - y * g.sum(axis=axis, keepdims=True),)
 
-    return _make(out, (a,), bw, "log_softmax")
+    return _make(out, (a,), bw)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -388,7 +366,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         flat_hat = xhat.reshape(-1, d)
         return gx, (flat_g * flat_hat).sum(axis=0), flat_g.sum(axis=0)
 
-    return _make(data, (x, gamma, beta), bw, "layer_norm")
+    return _make(data, (x, gamma, beta), bw)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -547,11 +525,16 @@ def save_checkpoint(store: ParamStore, manifest_path, blob_path=None, extra: dic
 
 def _replace_atomically(path: str, data: bytes) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(manifest_path, blob_path=None) -> tuple[ParamStore, dict]:

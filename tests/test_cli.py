@@ -186,17 +186,18 @@ class TestGradcheckCommand:
 class TestBenchCommand:
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "bench", "--sizes", "30,60", "--trees-per-size", "2",
-                           "--dim", "8", "--heads", "2")
+                           "--heads", "2")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("mean_nodes,")
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "30"
-        # instrumented fraternal cells equal the semantic count
+        # every head allocates each real cell, padding adds more
         header = lines[0].split(",")
         row = dict(zip(header, first))
-        assert row["attention_cells"] == row["measured_score_cells"]
+        assert int(row["allocated_cells"]) >= 2 * int(row["attention_cells"])
+        assert int(row["allocated_cells"]) >= int(row["peak_cells"]) > 0
 
 
 class TestInspectCommand:

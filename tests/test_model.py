@@ -17,13 +17,12 @@ from treeformer.model import (
     encode_tree,
     fraternal_attention,
     init_params,
-    meter,
     multi_head_attention,
     sinusoidal_rows,
     top_down_step,
 )
 from treeformer.numerics import MASK_FILL, constant, softmax
-from treeformer.scheduler import build_schedule, cost_report
+from treeformer.scheduler import build_schedule
 from treeformer.synth import MutationRecord, gen_wrongop_corpus, mutate_operator
 from treeformer.training import pooled_rows, task_forward
 from treeformer.trees import leaves, random_tree
@@ -544,31 +543,6 @@ class TestGlobalContext:
                     if np.abs(X.grad[schedule.row_index[0][j]]).max() > 0:
                         hits += 1
         assert hits / total >= 0.99
-
-
-class TestMeter:
-    def test_naive_count_matches_cost_report(self):
-        cfg = small_config()
-        params = init_params(cfg, seed=24)
-        rng = np.random.default_rng(14)
-        trees = [random_tree(rng, 30, 5, cfg.type_vocab_size, cfg.token_vocab_size) for _ in range(3)]
-        meter.reset()
-        for tree in trees:
-            encode_tree(tree, params, cfg, method="naive")
-        assert meter.score_cells == cost_report(trees).attention_cells
-
-    def test_batched_count_matches_cost_report(self):
-        from treeformer.batched import encode_batch
-
-        cfg = small_config()
-        params = init_params(cfg, seed=25)
-        rng = np.random.default_rng(15)
-        trees = [random_tree(rng, 40, 6, cfg.type_vocab_size, cfg.token_vocab_size) for _ in range(4)]
-        meter.reset()
-        encode_batch(trees, params, cfg)
-        report = cost_report(trees)
-        assert meter.score_cells == report.attention_cells
-        assert meter.score_cells < report.full_attention_cells
 
 
 class TestPool:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import chain
 from treeformer.batched import batch_state_tensors
 from treeformer.model import ModelConfig, embed_node, encode_tree, init_params
-from treeformer.scheduler import build_schedule, check_schedule
+from treeformer.scheduler import build_schedule, check_schedule, cost_report
 from treeformer.trees import SyntaxTree, depths, heights, preorder, random_tree, tree_arrays
 
 MAX_CHILDREN = 16
@@ -60,6 +60,10 @@ SETTINGS = dict(
 def test_schedule_passes_check_and_arrays_match_traversals(batch):
     schedule = build_schedule(batch)
     check_schedule(schedule, batch)
+    cells = sum(len(n.children) ** 2 for tree in batch for n in tree.nodes.values())
+    assert cost_report(schedule, heads=2).attention_cells == cells
+    rows = [(t, nid) for t, tree in enumerate(batch) for nid in sorted(tree.nodes)]
+    assert [schedule.node_at(row) for row in range(schedule.n_rows)] == rows
     for tree, arrays in zip(batch, tree_arrays(batch)):
         ids = sorted(tree.nodes)
         row = {nid: i for i, nid in enumerate(ids)}
@@ -93,6 +97,28 @@ def test_batched_matches_naive_in_row_index_layout(batch, top_down):
             assert np.array_equal(X.data[row], embed_node(tree.node(nid), params, cfg))
             assert np.abs(S.data[row] - naive.up[nid]).max() <= 1e-10
             assert np.abs(D.data[row] - naive.down[nid]).max() <= 1e-10
+
+
+# float32 against the naive recursion in float32: the paths sum in different
+# orders, so they agree to a tolerance, not bit for bit
+F32_ATOL = 1e-4
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(forests(), st.sampled_from([16, 64]))
+def test_batched_matches_naive_in_float32(batch, d):
+    cfg = ModelConfig(
+        d=d, heads=4, type_vocab_size=10, token_vocab_size=10,
+        max_children=MAX_CHILDREN, classify_classes=2,
+    )
+    params = init_params(cfg, seed=0, dtype="float32")
+    _, S, D, schedule = batch_state_tensors(batch, params, cfg)
+    assert S.dtype == D.dtype == np.float32
+    for tree, index in zip(batch, schedule.row_index):
+        naive = encode_tree(tree, params, cfg, method="naive")
+        for nid, row in index.items():
+            assert np.abs(S.data[row] - naive.up[nid]).max() <= F32_ATOL
+            assert np.abs(D.data[row] - naive.down[nid]).max() <= F32_ATOL
 
 
 def test_replaced_tree_gets_fresh_arrays():

@@ -342,15 +342,20 @@ class TestCheckTopDown:
 class TestCostReport:
     def test_star_closed_form(self):
         k = 7
-        report = cost_report([star(k)])
+        report = cost_report(build_schedule([star(k)]), heads=3)
         assert report.attention_cells == k * k
         assert report.full_attention_cells == (k + 1) ** 2
+        # one parent padded to 8 slots
+        assert report.allocated_cells == report.peak_cells == 3 * 8 * 8
 
     def test_chain_closed_form(self):
         n = 9
-        report = cost_report([chain(n)])
+        report = cost_report(build_schedule([chain(n)]), heads=3)
         assert report.attention_cells == n - 1
         assert report.full_attention_cells == n * n
+        # one width-1 bucket per level
+        assert report.allocated_cells == 3 * (n - 1)
+        assert report.peak_cells == 3
 
     def test_ratio_grows_linearly_with_tree_size(self):
         rng = np.random.default_rng(2)
@@ -358,7 +363,7 @@ class TestCostReport:
         ratios = []
         for size in sizes:
             batch = [random_tree(rng, size, 4, 3, 3) for _ in range(8)]
-            report = cost_report(batch)
+            report = cost_report(build_schedule(batch), heads=4)
             ratios.append(report.full_attention_cells / report.attention_cells)
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         slope = np.polyfit(np.log(sizes), np.log(ratios), 1)[0]

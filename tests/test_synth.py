@@ -235,6 +235,7 @@ class TestCorpusIO:
         assert after[failed] == before[failed]
         if failing_write == 0:
             assert after == before
+        assert not list((tmp_path / "c").glob("*.tmp"))
         corpus = load_corpus(tmp_path / "c")
         assert len(corpus.trees) == (2 * 2 if failing_write == 0 else 3 * 4)
 

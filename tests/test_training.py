@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from treeformer import training
+from treeformer.batched import encode_batch
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
-from treeformer.model import ModelConfig, init_params
-from treeformer.numerics import CheckpointError, ParamStore
+from treeformer.model import ModelConfig, encode_tree, init_params
+from treeformer.numerics import CheckpointError, NonFiniteError, ParamStore
 from treeformer.synth import Corpus, MutationRecord, gen_classify_corpus, gen_wrongop_corpus
 from treeformer.training import (
     AdamState,
@@ -244,6 +246,7 @@ class TestTrainLoop:
         assert after[failed] == before[failed]
         # every earlier file was replaced whole by the new run's
         assert all(after[name] != before[name] for name in names[:failing_write])
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_early_stop_target(self):
         corpus = classify_corpus(classes=2, per_class=8)
@@ -251,6 +254,29 @@ class TestTrainLoop:
         result = train(config, corpus, eval_corpus=corpus)
         assert len(result.history) < 40
         assert result.history[-1]["eval_accuracy"] >= 0.9
+
+
+@pytest.mark.parametrize(
+    "name", ["embed.type", "up.frat.wv", "up.ffn.b2", "down.ffn.w1", "down.ln_out.gamma"]
+)
+def test_inf_parameter_never_leaves_the_encoder(monkeypatch, name):
+    corpus = classify_corpus()
+    config = tiny_train_config()
+    cfg = model_config_for(config, corpus)
+    params = init_params(cfg, seed=config.seed, dtype=config.precision)
+    params[name].data[...] = np.inf
+    # the top-down pass has no softmax, so only the encoder's own check can catch it
+    match = "non-finite top-down state at tree 0, node" if name.startswith("down.") else None
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError, match=match):
+            encode_batch(corpus.trees[:4], params, cfg)
+        with pytest.raises(NonFiniteError, match=match):
+            encode_tree(corpus.trees[0], params, cfg, method="naive")
+        with pytest.raises(NonFiniteError):
+            evaluate((params, cfg), corpus)
+        monkeypatch.setattr(training, "init_params", lambda *args, **kw: params)
+        with pytest.raises((NonFiniteError, NonFiniteGradient)):
+            train(config, corpus)
 
 
 class TestUnlabeledNodeBatches:
