@@ -11,10 +11,14 @@ passed through a second feed-forward unit; the root's top-down state is its
 bottom-up state. Node vectors after the top-down pass are the final
 representations. ``bottom_up_step`` updates one level of parents at once,
 from one padded block of children per group of parents; the naive
-recursion here calls it with one block holding one parent. The task heads
+recursion here calls it with one block holding one parent. Both attentions
+run through ``numerics.attention``, one op (and one tape node) that splits
+heads, scores, masks, normalizes, mixes and merges heads, with an analytic
+backward; only the projections around it are separate ops. The task heads
 on top of them (a gated softmax pool for tree classification, a pointer and
 a repair head for wrong operators, and a per-node classifier) run batched,
-in ``training.task_forward``.
+in ``training.task_forward``; evaluation runs them inside ``numerics.no_grad``,
+which records no tape.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .numerics import (
     ParamStore,
     Tensor,
     add,
+    attention,
     broadcast_add_row,
     concat,
-    constant,
     gather_rows,
     layer_norm,
     linear,
@@ -39,7 +43,6 @@ from .numerics import (
     relu,
     reshape,
     scale,
-    softmax,
     transpose,
 )
 from .scheduler import _next_pow2
@@ -195,43 +198,6 @@ def init_params(config: ModelConfig, seed: int = 0, dtype: str = "float64") -> P
 # ---------------------------------------------------------------------------
 # attention building blocks
 
-def _swap_last2(x: Tensor) -> Tensor:
-    nd = x.data.ndim
-    return transpose(x, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-
-
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    shape = x.shape
-    n, d = shape[-2], shape[-1]
-    y = reshape(x, shape[:-2] + (n, heads, d // heads))
-    nd = len(shape) + 1
-    return transpose(y, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    nd = x.data.ndim
-    y = transpose(x, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
-    s = y.shape
-    return reshape(y, s[:-2] + (s[-2] * s[-1],))
-
-
-def _mix(
-    qh: Tensor,
-    kh: Tensor,
-    vh: Tensor,
-    denom: float,
-    mask_add: np.ndarray | None = None,
-    pos_scores: Tensor | None = None,
-) -> Tensor:
-    """Scores, softmax and mix of per-head queries, keys and values; heads merged."""
-    scores = scale(matmul(qh, _swap_last2(kh)), 1.0 / denom)
-    if pos_scores is not None:
-        scores = add(scores, pos_scores)
-    if mask_add is not None:
-        scores = add(scores, constant(mask_add, dtype=scores.dtype))
-    return _merge_heads(matmul(softmax(scores), vh))
-
-
 def multi_head_attention(
     q: Tensor,
     k: Tensor,
@@ -245,18 +211,13 @@ def multi_head_attention(
     mask_add: np.ndarray | None = None,
     pos_scores: Tensor | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention, heads split/concatenated, output projected.
+    """Scaled dot-product attention over projected inputs, output projected.
 
     ``mask_add`` is an additive score mask broadcast over key slots;
     ``pos_scores`` is an extra score term shared by every head.
     """
-    mixed = _mix(
-        _split_heads(matmul(q, wq), heads),
-        _split_heads(matmul(k, wk), heads),
-        _split_heads(matmul(v, wv), heads),
-        denom,
-        mask_add,
-        pos_scores,
+    mixed = attention(
+        matmul(q, wq), matmul(k, wk), matmul(v, wv), heads, denom, mask_add, pos_scores
     )
     return matmul(mixed, wo)
 
@@ -270,7 +231,7 @@ def _position_scores(params: ParamStore, config: ModelConfig, n: int, denom: flo
     rows = gather_rows(table, np.arange(n))
     pq = matmul(rows, params["up.frat.uq"])
     pk = matmul(rows, params["up.frat.uk"])
-    return scale(matmul(pq, _swap_last2(pk)), 1.0 / denom)
+    return scale(matmul(pq, transpose(pk, (1, 0))), 1.0 / denom)
 
 
 def _check_branching(config: ModelConfig, n: int, child_counts: np.ndarray | None):
@@ -343,13 +304,14 @@ def bottom_up_step(
     ``MASK_FILL``. Returns ``[P, d]``.
 
     Only fraternal attention and the keys and values of parental attention
-    need the sibling axis, so they run per block; the single-query score and
-    mix run per block on each parent's own row, and the query and output
+    need the sibling axis, so they run per block; the single-query attention
+    runs per block on each parent's own row, and the query and output
     projections, the layer norms and the FFN run once over all ``P`` rows.
     """
     d, heads = config.d, config.heads
     width = config.d_head if config.per_head_scaling else config.d
-    q = matmul(e_parents, params["up.par.wq"])
+    P = e_parents.shape[0]
+    q = reshape(matmul(e_parents, params["up.par.wq"]), (P, 1, d))
     mixed, start = [], 0
     for H, mask_add, child_counts in blocks:
         B, n = H.shape[0], H.shape[1]
@@ -361,17 +323,18 @@ def bottom_up_step(
             H = _ln(add(frat, H), params, "up.ln_frat", config)
         elif config.pe_before_parental:
             H = add(H, gather_rows(params["up.frat.pos"], np.arange(n)))
-        qb = reshape(gather_rows(q, np.arange(start, start + B)), (B, 1, d))
-        m = _mix(
-            _split_heads(qb, heads),
-            _split_heads(matmul(H, params["up.par.wk"]), heads),
-            _split_heads(matmul(H, params["up.par.wv"]), heads),
-            math.sqrt(width),
-            mask_add,
+        mixed.append(
+            attention(
+                gather_rows(q, np.arange(start, start + B)),
+                matmul(H, params["up.par.wk"]),
+                matmul(H, params["up.par.wv"]),
+                heads,
+                math.sqrt(width),
+                mask_add,
+            )
         )
-        mixed.append(reshape(m, (B, d)))
         start += B
-    attended = matmul(concat(mixed, axis=0), params["up.par.wo"])
+    attended = matmul(reshape(concat(mixed, axis=0), (P, d)), params["up.par.wo"])
     mid = _ln(add(attended, e_parents), params, "up.ln_attn", config)
     return _ln(add(_ffn(mid, params, "up.ffn"), mid), params, "up.ln_out", config)
 

@@ -9,6 +9,8 @@ bit-identical outputs within one precision mode.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import os
@@ -87,9 +89,29 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# False inside a ``no_grad`` block; a context variable, so each thread and
+# asyncio task sees only the blocks it entered itself
+_recording = contextvars.ContextVar("treeformer_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without recording a tape.
+
+    Ops inside it return tensors with no parents, no backward function and
+    ``requires_grad`` False; their values are the same as when recorded.
+    Recording is on outside every such block.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], bw) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._bw = bw
@@ -320,6 +342,67 @@ def softmax(a, axis: int = -1) -> Tensor:
         return (y * (g - dot),)
 
     return _make(y, (a,), bw)
+
+
+def attention(
+    q,
+    k,
+    v,
+    heads: int,
+    denom: float,
+    mask_add: np.ndarray | None = None,
+    pos_scores: Tensor | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one op.
+
+    ``q`` is ``[..., nq, d]`` and ``k``, ``v`` are ``[..., nk, d]``, each
+    split into ``heads`` column blocks. Per head, the scores are
+    ``q k^T / denom``, plus ``pos_scores`` (a tensor broadcast over the
+    batch and the heads) and ``mask_add`` (a plain array, ``MASK_FILL`` at
+    slots that take no weight), both of shapes that broadcast to the
+    ``[..., heads, nq, nk]`` scores; their softmax over the keys mixes ``v``,
+    and the heads merge back into ``[..., nq, d]``. The values equal the
+    composition of the separate ops; the backward is analytic.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    d = q.data.shape[-1]
+    c = float(1.0 / denom)
+
+    def split(x):  # [..., n, d] -> [..., heads, n, d // heads]
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, d // heads)), -2, -3)
+
+    def merge(x):  # the inverse of split
+        x = np.swapaxes(x, -2, -3)
+        return x.reshape(x.shape[:-2] + (d,))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))  # the scores, softmaxed in place below
+    p *= c
+    if pos_scores is not None:
+        p += pos_scores.data
+    if mask_add is not None:
+        p += np.asarray(mask_add, dtype=p.dtype)
+    if not np.isfinite(p.sum()):
+        raise NonFiniteError("attention scores contain NaN/Inf")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        gh = split(g)
+        dp = np.matmul(gh, np.swapaxes(vh, -1, -2))
+        dv = np.matmul(np.swapaxes(p, -1, -2), gh)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        dsc = ds * c
+        dq = np.matmul(dsc, kh)
+        dk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), dsc), -1, -2)
+        grads = (merge(dq), merge(dk), merge(dv))
+        if pos_scores is None:
+            return grads
+        return grads + (_unbroadcast(ds, pos_scores.data.shape),)
+
+    parents = (q, k, v) if pos_scores is None else (q, k, v, pos_scores)
+    return _make(merge(np.matmul(p, vh)), parents, bw)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:

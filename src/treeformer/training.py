@@ -34,6 +34,7 @@ from .numerics import (
     log_softmax,
     matmul,
     neg,
+    no_grad,
     reshape,
     save_checkpoint,
     scale,
@@ -43,7 +44,7 @@ from .numerics import (
 )
 from .scheduler import Schedule
 from .synth import Corpus
-from .trees import branching_stats
+from .trees import branching_stats, tree_arrays
 
 
 class NonFiniteGradient(RuntimeError):
@@ -315,14 +316,15 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
             repair.data.reshape(b, width, -1),
             ops,
         )
-    rows, labels, where = [], [], []
-    for t, tree in enumerate(trees):
-        for nid, label in sorted((tree.node_labels or {}).items()):
-            rows.append(schedule.row_index[t][nid])
-            labels.append(label)
-            where.append((t, nid))
+    # rows run tree by tree and, within a tree, by ascending node id
+    arrays = tree_arrays(trees)
+    labels = np.concatenate([a.label for a in arrays])
+    rows = np.flatnonzero(labels >= 0)
+    tree_of = np.repeat(np.arange(len(trees)), [len(a.ids) for a in arrays])
+    nids = np.concatenate([a.ids for a in arrays])[rows]
+    where = list(zip(tree_of[rows].tolist(), nids.tolist()))
     logits = linear(gather_rows(D, rows), params["head.node.w"], params["head.node.b"])
-    labels = np.array(labels, dtype=np.intp)
+    labels = labels[rows]
     return TaskForward(cross_entropy(logits, labels), len(labels), logits.data, labels, where)
 
 
@@ -359,7 +361,10 @@ def _prediction_rows(task: str, out: TaskForward, base: int) -> list[dict]:
 def _evaluate_params(
     params: ParamStore, cfg: ModelConfig, corpus: Corpus, batch_size: int = 64
 ) -> tuple[Metrics, list[dict]]:
-    """Metrics and prediction rows; each batch's mean loss is weighted by its item count."""
+    """Metrics and prediction rows; each batch's mean loss is weighted by its item count.
+
+    Runs without recording a tape.
+    """
     task = corpus.task
     data = corpus.records if task == "wrongop" else corpus.trees
     n = len(data)
@@ -369,7 +374,8 @@ def _evaluate_params(
     items = 0
     rows: list[dict] = []
     for start in range(0, n, batch_size):
-        out = task_forward(task, data[start : start + batch_size], params, cfg)
+        with no_grad():
+            out = task_forward(task, data[start : start + batch_size], params, cfg)
         if out.loss is None:
             continue
         total_loss += out.loss.item() * out.items

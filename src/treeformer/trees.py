@@ -179,6 +179,7 @@ class TreeArrays(NamedTuple):
     token_plus1: np.ndarray  # 0 is NO-TOKEN
     up_rank: np.ndarray  # position in reversed preorder
     down_rank: np.ndarray  # position in breadth-first order
+    label: np.ndarray  # node label; -1 where node_labels has none
 
 
 def tree_arrays(trees: Sequence[SyntaxTree]) -> list[TreeArrays]:
@@ -194,8 +195,24 @@ def tree_arrays(trees: Sequence[SyntaxTree]) -> list[TreeArrays]:
     return [t._arrays for t in trees]
 
 
+def _label_rows(tree: SyntaxTree, ids: np.ndarray) -> np.ndarray:
+    """``tree.node_labels`` on rows: one label per row, -1 where a node has none."""
+    out = np.full(len(ids), -1, dtype=np.intp)
+    if not tree.node_labels:
+        return out
+    keys = np.fromiter(tree.node_labels, dtype=np.intp, count=len(tree.node_labels))
+    values = np.fromiter(tree.node_labels.values(), dtype=np.intp, count=len(keys))
+    unknown = keys[~np.isin(keys, ids)]
+    if unknown.size:
+        raise ValidationError(f"node_labels names node {unknown[0]}, which the tree lacks")
+    if values.min() < 0:
+        raise ValidationError(f"node {keys[values < 0][0]} has a negative label")
+    out[np.searchsorted(ids, keys)] = values
+    return out
+
+
 def _local_arrays(tree: SyntaxTree):
-    """ids, child counts, child rows, type ids, token ids + 1 and root row, from one pass."""
+    """ids, child counts, child rows, type ids, token ids + 1, root row and labels."""
     nodes = tree.nodes
     ids = sorted(nodes)
     kids = [nodes[i].children for i in ids]
@@ -209,11 +226,14 @@ def _local_arrays(tree: SyntaxTree):
         np.array([nodes[i].type_id for i in ids], dtype=np.intp),
         np.array([0 if t is None else t + 1 for t in tokens], dtype=np.intp),
         int(np.searchsorted(ids_arr, tree.root)),
+        _label_rows(tree, ids_arr),
     )
 
 
 def _compute_arrays(trees: Sequence[SyntaxTree]) -> list[TreeArrays]:
-    ids, kid_counts, child_idx, type_id, token_plus1, roots = zip(*map(_local_arrays, trees))
+    ids, kid_counts, child_idx, type_id, token_plus1, roots, label = zip(
+        *map(_local_arrays, trees)
+    )
     sizes = np.array([len(i) for i in ids], dtype=np.intp)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     n = int(offsets[-1])
@@ -274,6 +294,7 @@ def _compute_arrays(trees: Sequence[SyntaxTree]) -> list[TreeArrays]:
             token_plus1=token_plus1[t],
             up_rank=up_rank[offsets[t] : offsets[t + 1]],
             down_rank=down_rank[offsets[t] : offsets[t + 1]],
+            label=label[t],
         )
         for t in range(len(trees))
     ]

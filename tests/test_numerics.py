@@ -294,6 +294,127 @@ def test_shared_weight_matmul_gradients(a_shape, transposed, weight_3d):
     assert grad_check(f, params, eps=1e-6) < 1e-6
 
 
+ATTN_B, ATTN_N, ATTN_D, ATTN_HEADS = 2, 3, 6, 2
+
+
+def _attention_mask():
+    """The second block has one real slot fewer."""
+    mask = np.zeros((ATTN_B, 1, 1, ATTN_N))
+    mask[1, ..., -1] = nm.MASK_FILL
+    return mask
+
+
+def _attention_inputs(call, masked, positioned, rng):
+    """Parameters and the attention call for one case. ``fraternal``: ``[B, n, d]``
+    queries, keys and values; ``parental``: ``[B, 1, d]`` queries against
+    ``[B, n, d]`` keys and values; ``self``: one ``[B, n, d]`` tensor as all three."""
+    nq = 1 if call == "parental" else ATTN_N
+    params = ParamStore("float64")
+    params.add_param("q", rng.standard_normal((ATTN_B, nq, ATTN_D)))
+    if call != "self":
+        params.add_param("k", rng.standard_normal((ATTN_B, ATTN_N, ATTN_D)))
+        params.add_param("v", rng.standard_normal((ATTN_B, ATTN_N, ATTN_D)))
+    if positioned:
+        params.add_param("pos", rng.standard_normal((nq, ATTN_N)))
+    mask = _attention_mask() if masked else None
+
+    def run(p):
+        k, v = (p["q"], p["q"]) if call == "self" else (p["k"], p["v"])
+        pos = p["pos"] if positioned else None
+        return nm.attention(p["q"], k, v, ATTN_HEADS, 1.7, mask_add=mask, pos_scores=pos)
+
+    return params, run
+
+
+@pytest.mark.parametrize("positioned", [False, True], ids=["nopos", "pos"])
+@pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
+@pytest.mark.parametrize("call", ["fraternal", "parental", "self"])
+def test_attention_gradients(call, masked, positioned):
+    """The fused op's analytic gradients match central differences.
+
+    A step of 1e-5, not the primitives' 1e-6: the position gradient sums
+    softmax derivatives that cancel, and at 1e-6 the differences' rounding
+    alone reaches 1.6e-6 on one case (1e-4: 1.4e-9, 1e-5: 5.3e-8).
+    """
+    rng = np.random.default_rng(zlib.crc32(f"{call}{masked}{positioned}".encode()))
+    params, run = _attention_inputs(call, masked, positioned, rng)
+    weights = constant(rng.standard_normal(run(params).shape))
+    assert grad_check(lambda p: nm.sum_all(nm.mul(run(p), weights)), params, eps=1e-5) < 1e-6
+
+
+def test_attention_equals_separate_ops():
+    """Bit-identical to heads split, scores scaled, position and mask added,
+    softmax, mix and heads merged as separate ops."""
+    rng = np.random.default_rng(3)
+    params, run = _attention_inputs("fraternal", True, True, rng)
+
+    def split(x):
+        y = nm.reshape(x, (ATTN_B, ATTN_N, ATTN_HEADS, ATTN_D // ATTN_HEADS))
+        return nm.transpose(y, (0, 2, 1, 3))
+
+    kt = nm.transpose(split(params["k"]), (0, 1, 3, 2))
+    scores = nm.add(nm.scale(matmul(split(params["q"]), kt), 1.0 / 1.7), params["pos"])
+    mixed = matmul(softmax(nm.add(scores, constant(_attention_mask()))), split(params["v"]))
+    want = nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (ATTN_B, ATTN_N, ATTN_D))
+    assert run(params).data.tobytes() == want.data.tobytes()
+
+
+def test_attention_nan_query_named():
+    params, run = _attention_inputs("parental", False, False, np.random.default_rng(4))
+    params["q"].data[0, 0, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="attention"):
+        run(params)
+
+
+def test_attention_masked_slots_get_zero_gradient():
+    """Keys and values in masked slots take exactly no gradient, also when
+    they hold large values."""
+    rng = np.random.default_rng(5)
+    for call in ("fraternal", "parental"):
+        params, run = _attention_inputs(call, True, True, rng)
+        params["k"].data[1, -1] = 1e3
+        params["v"].data[1, -1] = -1e3
+        out = run(params)
+        backward(out, rng.standard_normal(out.shape))
+        for name in ("k", "v"):
+            assert not params[name].grad[1, -1].any()
+            assert params[name].grad[0, -1].all() and params[name].grad[1, :-1].all()
+
+
+class TestNoGrad:
+    def _param(self):
+        return ParamStore("float64").add_param("w", np.arange(6.0).reshape(2, 3))
+
+    def test_outputs_record_nothing(self):
+        w = self._param()
+        with nm.no_grad():
+            out = nm.sum_all(nm.relu(matmul(w, nm.transpose(w, (1, 0)))))
+        assert not out.requires_grad
+        assert out._parents == () and out._bw is None
+        assert out.item() == float(np.maximum(w.data @ w.data.T, 0).sum())
+
+    def test_recording_resumes_after_block_and_error(self):
+        w = self._param()
+        with nm.no_grad():
+            pass
+        assert nm.scale(w, 2.0).requires_grad
+        with pytest.raises(KeyError):
+            with nm.no_grad():
+                raise KeyError("inside")
+        out = nm.sum_all(nm.scale(w, 2.0))
+        assert out.requires_grad
+        backward(out)
+        np.testing.assert_array_equal(w.grad, np.full((2, 3), 2.0))
+
+    def test_nested_blocks_restore(self):
+        w = self._param()
+        with nm.no_grad():
+            with nm.no_grad():
+                assert not nm.neg(w).requires_grad
+            assert not nm.neg(w).requires_grad
+        assert nm.neg(w).requires_grad
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(9)

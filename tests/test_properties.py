@@ -1,15 +1,27 @@
-"""Property tests over random forests: schedules, cached tree arrays, and batched vs naive."""
+"""Property tests over random forests: schedules, cached tree arrays, batched vs
+naive, the node-classify head's rows, and checkpoint round trips."""
 
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain
 from treeformer.batched import batch_state_tensors
 from treeformer.model import ModelConfig, embed_node, encode_tree, init_params
+from treeformer.numerics import (
+    CheckpointError,
+    gather_rows,
+    linear,
+    load_checkpoint,
+    save_checkpoint,
+)
 from treeformer.scheduler import build_schedule, check_schedule, cost_report
+from treeformer.training import cross_entropy, task_forward
 from treeformer.trees import SyntaxTree, depths, heights, preorder, random_tree, tree_arrays
 
 MAX_CHILDREN = 16
@@ -134,3 +146,82 @@ def test_replaced_tree_gets_fresh_arrays():
     assert len(after.ids) == len(before.ids) + 1
     assert after.type_id[-1] == 7
     assert tree_arrays([tree])[0] is before
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(forests(max_nodes=60), st.integers(0, 2**32 - 1))
+def test_node_head_rows_match_sorted_labels(batch, seed):
+    """The node-classify head's rows, labels, logits and loss equal those built
+    from each tree's ``sorted(node_labels.items())`` and ``row_index``."""
+    rng = np.random.default_rng(seed)
+    labeled = []
+    for tree in batch:
+        ids = rng.permutation(sorted(tree.nodes))  # labels in no particular order
+        picked = ids[: rng.integers(0, len(ids) + 1)].tolist()
+        labels = {nid: int(rng.integers(3)) for nid in picked}
+        labeled.append(replace(tree, node_labels=labels or None))
+    assume(any(tree.node_labels for tree in labeled))
+    cfg = ModelConfig(
+        d=8, heads=2, type_vocab_size=10, token_vocab_size=10,
+        max_children=MAX_CHILDREN, node_classes=3,
+    )
+    params = init_params(cfg, seed=0)
+    out = task_forward("node-classify", labeled, params, cfg)
+
+    _, _, D, schedule = batch_state_tensors(labeled, params, cfg)
+    rows, labels, where = [], [], []
+    for t, tree in enumerate(labeled):
+        for nid, label in sorted((tree.node_labels or {}).items()):
+            rows.append(schedule.row_index[t][nid])
+            labels.append(label)
+            where.append((t, nid))
+    logits = linear(gather_rows(D, rows), params["head.node.w"], params["head.node.b"])
+    assert out.nodes == where
+    assert out.targets.tolist() == labels and out.items == len(labels)
+    assert out.logits.tobytes() == logits.data.tobytes()
+    assert out.loss.item() == cross_entropy(logits, labels).item()
+
+
+@st.composite
+def model_configs(draw):
+    heads = draw(st.sampled_from([1, 2, 4]))
+    head = draw(st.sampled_from(["classify_classes", "operator_classes", "node_classes"]))
+    return ModelConfig(
+        d=2 * heads * draw(st.integers(1, 4)),
+        heads=heads,
+        type_vocab_size=draw(st.integers(1, 20)),
+        token_vocab_size=draw(st.integers(1, 20)),
+        max_children=draw(st.integers(1, MAX_CHILDREN)),
+        **{head: draw(st.integers(2, 9))},
+    )
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(model_configs(), st.sampled_from(["float32", "float64"]), st.data())
+def test_checkpoint_round_trip_and_damage(cfg, dtype, data):
+    """A saved model loads with the same names and bit-exact tensors; a blob
+    with one flipped bit, or cut short, is refused."""
+    store = init_params(cfg, seed=data.draw(st.integers(0, 2**32 - 1)), dtype=dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.json")
+        save_checkpoint(store, path, extra={"model_config": cfg.to_obj()})
+        loaded, extra = load_checkpoint(path)
+        assert ModelConfig.from_obj(extra["model_config"]) == cfg
+        assert loaded.dtype == dtype
+        assert loaded.names() == store.names()
+        assert loaded.buffer_names() == store.buffer_names()
+        for name in store.names() + store.buffer_names():
+            assert loaded[name].dtype == store[name].dtype
+            assert loaded[name].shape == store[name].shape
+            assert loaded[name].data.tobytes() == store[name].data.tobytes()
+
+        blob_path = path + ".bin"
+        with open(blob_path, "rb") as fh:
+            blob = fh.read()
+        flipped = bytearray(blob)
+        flipped[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        for damaged in (bytes(flipped), blob[: data.draw(st.integers(0, len(blob) - 1))]):
+            with open(blob_path, "wb") as fh:
+                fh.write(damaged)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)

@@ -7,6 +7,7 @@ import pytest
 
 from treeformer import training
 from treeformer.batched import encode_batch
+from treeformer.checks import full_model_gradcheck
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
 from treeformer.model import ModelConfig, encode_tree, init_params
 from treeformer.numerics import CheckpointError, NonFiniteError, ParamStore
@@ -381,6 +382,37 @@ class TestEvaluate:
         evaluate((result.params, result.model_config), corpus)
         after = {n: result.params[n].data.tobytes() for n in result.params.names()}
         assert before == after
+
+    @pytest.mark.parametrize("task", ["classify", "wrongop", "node-classify"])
+    def test_unrecorded_matches_recorded_forward(self, tmp_path, task):
+        """``evaluate`` records no tape, yet its metrics and prediction file equal
+        those from recorded ``task_forward`` calls over the same batches."""
+        corpus = {"classify": classify_corpus, "wrongop": wrongop_corpus,
+                  "node-classify": node_corpus}[task]()
+        cfg = model_config_for(tiny_train_config(task=task), corpus)
+        params = init_params(cfg, seed=2, dtype="float32")
+        preds = tmp_path / "preds.jsonl"
+        metrics = evaluate((params, cfg), corpus, predictions_path=preds, batch_size=4)
+        data = corpus.records if task == "wrongop" else corpus.trees
+        total, items, rows = 0.0, 0, []
+        for start in range(0, len(data), 4):
+            out = task_forward(task, data[start : start + 4], params, cfg)
+            if out.loss is None:
+                continue
+            assert out.loss.requires_grad
+            total += out.loss.item() * out.items
+            items += out.items
+            rows += training._prediction_rows(task, out, start)
+        assert metrics.mean_loss == total / items
+        lines = "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+        assert preds.read_text() == lines
+
+    def test_gradcheck_after_evaluate(self):
+        """Recording is back on once ``evaluate`` returns."""
+        corpus = node_corpus()
+        cfg = model_config_for(tiny_train_config(task="node-classify"), corpus)
+        evaluate((init_params(cfg, seed=0), cfg), corpus)
+        assert full_model_gradcheck("node-classify", d=8, heads=2, seed=1, eps=1e-5) < 1e-4
 
     def test_prediction_log_recount(self, tmp_path):
         """Independent recount of the prediction log equals reported metrics."""

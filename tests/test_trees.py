@@ -24,6 +24,7 @@ from treeformer.trees import (
     random_tree,
     renumber_preorder,
     save_trees,
+    tree_arrays,
     tree_to_line,
     validate,
 )
@@ -213,3 +214,21 @@ class TestPreorder:
             assert sorted(tree.nodes) == list(range(len(tree)))
             renum = renumber_preorder(tree)
             assert preorder(renum) == list(range(len(tree)))
+
+
+class TestLabelRows:
+    def test_labels_on_rows(self):
+        tree = dataclasses.replace(star(3), node_labels={3: 2, 0: 1})
+        (arrays,) = tree_arrays([tree])
+        assert arrays.label.tolist() == [1, -1, -1, 2]
+        (bare,) = tree_arrays([star(3)])
+        assert bare.label.tolist() == [-1] * 4
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [({9: 1}, "names node 9"), ({1: -2}, "node 1 has a negative label")],
+        ids=["unknown_node", "negative_label"],
+    )
+    def test_bad_labels_named(self, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            tree_arrays([dataclasses.replace(star(3), node_labels=labels)])
