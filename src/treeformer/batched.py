@@ -2,12 +2,14 @@
 
 Semantics must match the naive recursion exactly (up to float summation
 order). The bottom-up unit runs once per height: one ``bottom_up_step`` call
-takes the level's parent rows and one padded block of children per bucket.
-Padded child slots are zero-filled on gather and their attention scores are
-pushed to an underflow fill before softmax, so padding cannot influence any
-real node's state. A debug rng can overwrite padding with noise to let tests
-verify that claim. The top-down unit is row-wise and runs once per depth on
-the unpadded rows of that depth, each with its parent's row.
+takes the level's parent rows and all its child slots as one flat tensor,
+each parent's children padded to its bucket's width; only the attention op
+reads the bucket boundaries. Padded child slots are zero-filled on gather and
+their attention scores are pushed to an underflow fill before softmax, so
+padding cannot influence any real node's state. A debug rng can overwrite
+padding with noise to let tests verify that claim. The top-down unit is
+row-wise and runs once per depth on the unpadded rows of that depth, each
+with its parent's row.
 
 No op inside the level loops reads or returns a whole-batch ``[n_rows, d]``
 tensor. Each level's output is its own tensor, and a level reads the rows it
@@ -28,7 +30,6 @@ from .model import (
     top_down_step,
 )
 from .numerics import (
-    MASK_FILL,
     ParamStore,
     Tensor,
     add,
@@ -36,7 +37,6 @@ from .numerics import (
     constant,
     gather_rows,
     gather_rows_from,
-    reshape,
     scatter_rows,
 )
 from .scheduler import Bucket, Schedule, build_schedule
@@ -44,19 +44,21 @@ from .trees import SyntaxTree, tree_arrays
 
 
 def _read_children(
-    bucket: Bucket, levels: list[Tensor], level_of: np.ndarray, pos: np.ndarray
+    buckets: list[Bucket], levels: list[Tensor], level_of: np.ndarray, pos: np.ndarray
 ) -> Tensor:
-    """The bucket's child slots as ``[B * w, d]`` rows, zero at padding.
+    """A level's child slots, bucket after bucket, as flat ``[sum of B * w, d]``
+    rows, zero at padding.
 
     Row ``r``'s bottom-up state is row ``pos[r]`` of ``levels[level_of[r]]``.
     """
-    slots = np.flatnonzero(bucket.mask.reshape(-1))
-    kids = bucket.child_rows.reshape(-1)[slots]
+    mask = np.concatenate([bucket.mask.reshape(-1) for bucket in buckets])
+    slots = np.flatnonzero(mask)
+    kids = np.concatenate([bucket.child_rows.reshape(-1) for bucket in buckets])[slots]
     level = level_of[kids]
     order = np.argsort(level, kind="stable")
     runs = np.split(order, np.flatnonzero(np.diff(level[order])) + 1)
     parts = [(levels[level[run[0]]], slots[run], pos[kids[run]]) for run in runs]
-    return gather_rows_from(bucket.mask.size, parts)
+    return gather_rows_from(mask.size, parts)
 
 
 def batch_state_tensors(
@@ -75,7 +77,6 @@ def batch_state_tensors(
     """
     if schedule is None:
         schedule = build_schedule(trees)
-    d = config.d
     arrays = tree_arrays(trees)
     X = embed_rows(
         params,
@@ -91,18 +92,14 @@ def batch_state_tensors(
     level_of = np.zeros(schedule.n_rows, dtype=np.intp)
     pos = np.arange(schedule.n_rows)
     for height, group in enumerate(schedule.bottom_up_levels, start=1):
-        blocks = []
-        for bucket in group.buckets:
-            B, w = bucket.child_rows.shape
-            Hc = reshape(_read_children(bucket, levels, level_of, pos), (B, w, d))
-            if pad_rng is not None:
-                pad = (1.0 - bucket.mask[:, :, None]).astype(dtype)
-                noise = pad_rng.standard_normal((B, w, d)).astype(dtype)
-                Hc = add(Hc, constant(noise * pad))
-            mask_add = ((1.0 - bucket.mask) * MASK_FILL).astype(dtype)[:, None, None, :]
-            blocks.append((Hc, mask_add, bucket.child_counts))
+        H = _read_children(group.buckets, levels, level_of, pos)
+        if pad_rng is not None:
+            pad = np.concatenate([1.0 - bucket.mask.reshape(-1) for bucket in group.buckets])
+            noise = pad_rng.standard_normal(H.shape).astype(dtype)
+            H = add(H, constant(noise * pad[:, None].astype(dtype)))
+        blocks = [(bucket.mask.shape[1], bucket.child_counts) for bucket in group.buckets]
         rows = np.concatenate([bucket.parents for bucket in group.buckets])
-        levels.append(bottom_up_step(gather_rows(X, rows), blocks, params, config))
+        levels.append(bottom_up_step(gather_rows(X, rows), H, blocks, params, config))
         level_rows.append(rows)
         level_of[rows] = height
         pos[rows] = np.arange(len(rows))

@@ -10,15 +10,16 @@ final state is broadcast-added onto its children's bottom-up states and
 passed through a second feed-forward unit; the root's top-down state is its
 bottom-up state. Node vectors after the top-down pass are the final
 representations. ``bottom_up_step`` updates one level of parents at once,
-from one padded block of children per group of parents; the naive
-recursion here calls it with one block holding one parent. Both attentions
-run through ``numerics.attention``, one op (and one tape node) that splits
-heads, scores, masks, normalizes, mixes and merges heads, with an analytic
-backward; only the projections around it are separate ops. The task heads
-on top of them (a gated softmax pool for tree classification, a pointer and
-a repair head for wrong operators, and a per-node classifier) run batched,
-in ``training.task_forward``; evaluation runs them inside ``numerics.no_grad``,
-which records no tape.
+from their children's states as flat rows, one run of padded slots per
+parent; the naive recursion here calls it with one block of one parent. Every
+op of the step runs once over the level's rows. Both attentions run through
+``numerics.attention``, one op (and one tape node) that splits heads, scores
+each parent's group of rows, masks, normalizes, mixes and merges heads, with
+an analytic backward; only the projections around it are separate ops. The
+task heads on top of them (a gated softmax pool for tree classification, a
+pointer and a repair head for wrong operators, and a per-node classifier) run
+batched, in ``training.task_forward``; evaluation runs them inside
+``numerics.no_grad``, which records no tape.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .numerics import (
     linear,
     matmul,
     relu,
-    reshape,
     scale,
     transpose,
 )
@@ -208,16 +208,16 @@ def multi_head_attention(
     wo: Tensor,
     heads: int,
     denom: float,
-    mask_add: np.ndarray | None = None,
+    blocks,
     pos_scores: Tensor | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention over projected inputs, output projected.
+    """Scaled dot-product attention over projected flat rows, output projected.
 
-    ``mask_add`` is an additive score mask broadcast over key slots;
-    ``pos_scores`` is an extra score term shared by every head.
+    ``blocks`` groups the rows as ``numerics.attention`` reads them;
+    ``pos_scores`` is an extra score table shared by every head.
     """
     mixed = attention(
-        matmul(q, wq), matmul(k, wk), matmul(v, wv), heads, denom, mask_add, pos_scores
+        matmul(q, wq), matmul(k, wk), matmul(v, wv), heads, denom, blocks, pos_scores
     )
     return matmul(mixed, wo)
 
@@ -234,8 +234,8 @@ def _position_scores(params: ParamStore, config: ModelConfig, n: int, denom: flo
     return scale(matmul(pq, transpose(pk, (1, 0))), 1.0 / denom)
 
 
-def _check_branching(config: ModelConfig, n: int, child_counts: np.ndarray | None):
-    real = n if child_counts is None else int(child_counts.max())
+def _check_branching(config: ModelConfig, blocks) -> None:
+    real = max(int(np.max(counts)) for _, counts in blocks)
     if real > config.max_children:
         raise BranchingOverflow(
             f"{real} children exceed max_children={config.max_children}"
@@ -243,37 +243,25 @@ def _check_branching(config: ModelConfig, n: int, child_counts: np.ndarray | Non
 
 
 def fraternal_attention(
-    H: Tensor,
-    params: ParamStore,
-    config: ModelConfig,
-    mask_add: np.ndarray | None = None,
-    child_counts: np.ndarray | None = None,
+    H: Tensor, blocks, params: ParamStore, config: ModelConfig
 ) -> Tensor:
     """Self-attention among sibling states with untied position scores.
 
-    Content and position score terms share the same scaled denominator; the
-    position term depends only on slot indices, and vanishes when position
-    encoding is ablated.
+    ``H`` and ``blocks`` are laid out as in ``bottom_up_step``; each parent's
+    children attend among themselves. Content and position score terms share
+    the same scaled denominator; the position term depends only on slot
+    indices, comes from one table built at the widest block, and vanishes
+    when position encoding is ablated.
     """
-    n = H.shape[-2]
-    _check_branching(config, n, child_counts)
+    _check_branching(config, blocks)
     width = config.d_head if config.per_head_scaling else config.d
     denom = math.sqrt(2.0 * width)
     pos = None
     if config.use_position_encoding:
-        pos = _position_scores(params, config, n, denom)
+        pos = _position_scores(params, config, max(w for w, _ in blocks), denom)
+    weights = [params[f"up.frat.{name}"] for name in ("wq", "wk", "wv", "wo")]
     return multi_head_attention(
-        H,
-        H,
-        H,
-        params["up.frat.wq"],
-        params["up.frat.wk"],
-        params["up.frat.wv"],
-        params["up.frat.wo"],
-        config.heads,
-        denom,
-        mask_add=mask_add,
-        pos_scores=pos,
+        H, H, H, *weights, config.heads, denom, [(w, w, counts) for w, counts in blocks], pos
     )
 
 
@@ -290,51 +278,38 @@ def _ln(x: Tensor, params: ParamStore, name: str, config: ModelConfig) -> Tensor
 
 def bottom_up_step(
     e_parents: Tensor,
-    blocks: list[tuple[Tensor, np.ndarray | None, np.ndarray | None]],
+    H: Tensor,
+    blocks: list[tuple[int, np.ndarray]],
     params: ParamStore,
     config: ModelConfig,
 ) -> Tensor:
     """One level of parent updates from their children's states.
 
     ``e_parents``: ``[P, d]`` initial embeddings (attention queries and
-    residuals). ``blocks`` holds ``(H_children, mask_add, child_counts)`` per
-    group of parents, in the order of ``e_parents``: ``H_children`` is
-    ``[B, w, d]``, the children of ``B`` parents padded to ``w`` slots, and
-    ``mask_add`` (``[B, 1, 1, w]``) pushes padded slots' scores to
-    ``MASK_FILL``. Returns ``[P, d]``.
+    residuals). ``H``: the children's states as flat ``[sum of B * w, d]``
+    rows. ``blocks`` holds ``(w, child_counts)`` per group of ``B =
+    len(child_counts)`` parents, in the order of ``e_parents``: parent ``b``'s
+    children fill ``w`` consecutive rows, of which those past
+    ``child_counts[b]`` are padding that takes no attention weight. Returns
+    ``[P, d]``.
 
-    Only fraternal attention and the keys and values of parental attention
-    need the sibling axis, so they run per block; the single-query attention
-    runs per block on each parent's own row, and the query and output
-    projections, the layer norms and the FFN run once over all ``P`` rows.
+    Every op runs once over the level's rows; only the two attention ops read
+    the blocks, to score each parent's children among themselves (fraternal)
+    and against the parent's own row (parental).
     """
-    d, heads = config.d, config.heads
+    _check_branching(config, blocks)
+    if config.use_fraternal_attention:
+        frat = fraternal_attention(H, blocks, params, config)
+        H = _ln(add(frat, H), params, "up.ln_frat", config)
+    elif config.pe_before_parental:
+        slots = np.concatenate([np.tile(np.arange(w), len(counts)) for w, counts in blocks])
+        H = add(H, gather_rows(params["up.frat.pos"], slots))
     width = config.d_head if config.per_head_scaling else config.d
-    P = e_parents.shape[0]
-    q = reshape(matmul(e_parents, params["up.par.wq"]), (P, 1, d))
-    mixed, start = [], 0
-    for H, mask_add, child_counts in blocks:
-        B, n = H.shape[0], H.shape[1]
-        _check_branching(config, n, child_counts)
-        if config.use_fraternal_attention:
-            frat = fraternal_attention(
-                H, params, config, mask_add=mask_add, child_counts=child_counts
-            )
-            H = _ln(add(frat, H), params, "up.ln_frat", config)
-        elif config.pe_before_parental:
-            H = add(H, gather_rows(params["up.frat.pos"], np.arange(n)))
-        mixed.append(
-            attention(
-                gather_rows(q, np.arange(start, start + B)),
-                matmul(H, params["up.par.wk"]),
-                matmul(H, params["up.par.wv"]),
-                heads,
-                math.sqrt(width),
-                mask_add,
-            )
-        )
-        start += B
-    attended = matmul(reshape(concat(mixed, axis=0), (P, d)), params["up.par.wo"])
+    weights = [params[f"up.par.{name}"] for name in ("wq", "wk", "wv", "wo")]
+    attended = multi_head_attention(
+        e_parents, H, H, *weights, config.heads, math.sqrt(width),
+        [(1, w, counts) for w, counts in blocks],
+    )
     mid = _ln(add(attended, e_parents), params, "up.ln_attn", config)
     return _ln(add(_ffn(mid, params, "up.ffn"), mid), params, "up.ln_out", config)
 
@@ -411,9 +386,9 @@ def naive_state_tensors(
         if node.is_leaf():
             up[nid] = e[nid]
         else:
+            n = len(node.children)
             H = concat([up[c] for c in node.children], axis=0)
-            H = reshape(H, (1,) + H.shape)
-            up[nid] = bottom_up_step(e[nid], [(H, None, None)], params, config)
+            up[nid] = bottom_up_step(e[nid], H, [(n, np.array([n]))], params, config)
 
     if not config.use_top_down:
         return e, up, dict(up)

@@ -345,64 +345,83 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def attention(
-    q,
-    k,
-    v,
-    heads: int,
-    denom: float,
-    mask_add: np.ndarray | None = None,
-    pos_scores: Tensor | None = None,
+    q, k, v, heads: int, denom: float, blocks, pos_scores: Tensor | None = None
 ) -> Tensor:
-    """Multi-head scaled dot-product attention as one op.
+    """Multi-head scaled dot-product attention over groups of flat rows, as one op.
 
-    ``q`` is ``[..., nq, d]`` and ``k``, ``v`` are ``[..., nk, d]``, each
-    split into ``heads`` column blocks. Per head, the scores are
-    ``q k^T / denom``, plus ``pos_scores`` (a tensor broadcast over the
-    batch and the heads) and ``mask_add`` (a plain array, ``MASK_FILL`` at
-    slots that take no weight), both of shapes that broadcast to the
-    ``[..., heads, nq, nk]`` scores; their softmax over the keys mixes ``v``,
-    and the heads merge back into ``[..., nq, d]``. The values equal the
-    composition of the separate ops; the backward is analytic.
+    ``q`` is ``[Rq, d]`` and ``k``, ``v`` are ``[Rk, d]``, each split into
+    ``heads`` column blocks. ``blocks`` holds ``(nq, nk, counts)`` per block:
+    ``len(counts)`` groups in row order, group ``b`` with ``nq`` query rows
+    and ``nk`` key rows, of which key slots from ``counts[b]`` on score
+    ``MASK_FILL`` and take no weight. Per group and head, the scores are
+    ``q k^T / denom`` plus the ``[:nq, :nk]`` corner of ``pos_scores`` (one
+    ``[W, W]`` table shared by every block and head); their softmax over the
+    keys mixes ``v``, and the heads merge back into ``[Rq, d]``. Values equal
+    the composition of the separate ops, block by block; the backward is
+    analytic.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    d = q.data.shape[-1]
+    (Rq, d), Rk = q.data.shape, k.data.shape[0]
     c = float(1.0 / denom)
+    layout, rq, rk = [], 0, 0  # per block: query rows, key rows, nq, nk, counts
+    for nq, nk, counts in blocks:
+        counts = np.asarray(counts)
+        n = len(counts)
+        layout.append((slice(rq, rq + n * nq), slice(rk, rk + n * nk), nq, nk, counts))
+        rq, rk = rq + n * nq, rk + n * nk
+    if (rq, rk) != (Rq, Rk) or v.data.shape[0] != Rk:
+        raise ShapeError(
+            f"attention blocks cover {rq} query and {rk} key rows; got {Rq} query,"
+            f" {Rk} key and {v.data.shape[0]} value rows"
+        )
+    if pos_scores is not None and any(
+        nq > pos_scores.data.shape[0] or nk > pos_scores.data.shape[1]
+        for _, _, nq, nk, _ in layout
+    ):
+        raise ShapeError(f"position scores {pos_scores.data.shape} narrower than a block")
 
-    def split(x):  # [..., n, d] -> [..., heads, n, d // heads]
-        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, d // heads)), -2, -3)
+    def split(x, n):  # [B * n, d] -> [B, heads, n, d // heads]
+        return np.swapaxes(x.reshape(-1, n, heads, d // heads), 1, 2)
 
     def merge(x):  # the inverse of split
-        x = np.swapaxes(x, -2, -3)
-        return x.reshape(x.shape[:-2] + (d,))
+        return np.swapaxes(x, 1, 2).reshape(-1, d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = np.matmul(qh, np.swapaxes(kh, -1, -2))  # the scores, softmaxed in place below
-    p *= c
-    if pos_scores is not None:
-        p += pos_scores.data
-    if mask_add is not None:
-        p += np.asarray(mask_add, dtype=p.dtype)
-    if not np.isfinite(p.sum()):
-        raise NonFiniteError("attention scores contain NaN/Inf")
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    out = np.empty_like(q.data)
+    saved = []
+    for qs, ks, nq, nk, counts in layout:
+        qh, kh, vh = split(q.data[qs], nq), split(k.data[ks], nk), split(v.data[ks], nk)
+        p = np.matmul(qh, np.swapaxes(kh, -1, -2))  # the scores, softmaxed in place below
+        p *= c
+        if pos_scores is not None:
+            p += pos_scores.data[:nq, :nk]
+        pad = np.arange(nk) >= counts[:, None]
+        if pad.any():
+            p += (pad * MASK_FILL).astype(p.dtype)[:, None, None, :]
+        if not np.isfinite(p.sum()):
+            raise NonFiniteError("attention scores contain NaN/Inf")
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[qs] = merge(np.matmul(p, vh))
+        saved.append((qh, kh, vh, p))
 
     def bw(g):
-        gh = split(g)
-        dp = np.matmul(gh, np.swapaxes(vh, -1, -2))
-        dv = np.matmul(np.swapaxes(p, -1, -2), gh)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        dsc = ds * c
-        dq = np.matmul(dsc, kh)
-        dk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), dsc), -1, -2)
-        grads = (merge(dq), merge(dk), merge(dv))
-        if pos_scores is None:
-            return grads
-        return grads + (_unbroadcast(ds, pos_scores.data.shape),)
+        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        dpos = None if pos_scores is None else np.zeros_like(pos_scores.data)
+        for (qs, ks, nq, nk, _), (qh, kh, vh, p) in zip(layout, saved):
+            gh = split(g[qs], nq)
+            dp = np.matmul(gh, np.swapaxes(vh, -1, -2))
+            dv[ks] = merge(np.matmul(np.swapaxes(p, -1, -2), gh))
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            dsc = ds * c
+            dq[qs] = merge(np.matmul(dsc, kh))
+            dk[ks] = merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), dsc), -1, -2))
+            if dpos is not None:
+                dpos[:nq, :nk] += ds.sum(axis=(0, 1))
+        return (dq, dk, dv) if dpos is None else (dq, dk, dv, dpos)
 
     parents = (q, k, v) if pos_scores is None else (q, k, v, pos_scores)
-    return _make(merge(np.matmul(p, vh)), parents, bw)
+    return _make(out, parents, bw)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -495,7 +514,7 @@ def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:
         if node._bw is None or node.grad is None:
             continue
         for parent, g in zip(node._parents, node._bw(node.grad)):
-            if g is None:
+            if g is None or not parent.requires_grad:
                 continue
             if isinstance(g, RowGrad):
                 if parent.grad is None:

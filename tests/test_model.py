@@ -61,6 +61,11 @@ def np_params(params):
     return {name: params[name].data for name in params.names() + params.buffer_names()}
 
 
+def one_parent(H):
+    """``bottom_up_step`` blocks for the children rows ``H`` of one parent."""
+    return [(len(H), np.array([len(H)]))]
+
+
 # --- independent oracles (plain numpy, no shared attention helpers) ---------
 
 def oracle_softmax(x):
@@ -192,7 +197,8 @@ class TestMultiHeadAttention:
         args = _mha_args(params, "up.par", cfg, math.sqrt(cfg.d_head))
         outs = [
             multi_head_attention(
-                constant(rng.standard_normal((1, cfg.d))), constant(kv), constant(kv), **args
+                constant(rng.standard_normal((1, cfg.d))), constant(kv), constant(kv),
+                blocks=[(1, 1, [1])], **args,
             ).data
             for _ in range(3)
         ]
@@ -209,7 +215,7 @@ class TestMultiHeadAttention:
         kv = np.stack([row] * 5)
         q = rng.standard_normal((2, cfg.d))
         out = multi_head_attention(
-            constant(q), constant(kv), constant(kv),
+            constant(q), constant(kv), constant(kv), blocks=[(2, 5, [5])],
             **_mha_args(params, "up.par", cfg, math.sqrt(cfg.d_head)),
         ).data
         expected = row @ params["up.par.wv"].data @ params["up.par.wo"].data
@@ -223,7 +229,7 @@ class TestMultiHeadAttention:
         kv = rng.standard_normal((3, cfg.d))
         denom = math.sqrt(cfg.d_head)
         got = multi_head_attention(
-            constant(q), constant(kv), constant(kv),
+            constant(q), constant(kv), constant(kv), blocks=[(2, 3, [3])],
             **_mha_args(params, "up.par", cfg, denom),
         ).data
         p = np_params(params)
@@ -239,7 +245,7 @@ class TestFraternalAttention:
         cfg = small_config()
         params = init_params(cfg, seed=6)
         h = np.random.default_rng(3).standard_normal((1, cfg.d))
-        out = fraternal_attention(constant(h), params, cfg).data
+        out = fraternal_attention(constant(h), one_parent(h), params, cfg).data
         expected = h @ params["up.frat.wv"].data @ params["up.frat.wo"].data
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -248,8 +254,8 @@ class TestFraternalAttention:
         params = init_params(cfg, seed=7)
         H = np.random.default_rng(4).standard_normal((4, cfg.d))
         perm = [2, 0, 3, 1]
-        out = fraternal_attention(constant(H), params, cfg).data
-        out_perm = fraternal_attention(constant(H[perm]), params, cfg).data
+        out = fraternal_attention(constant(H), one_parent(H), params, cfg).data
+        out_perm = fraternal_attention(constant(H[perm]), one_parent(H), params, cfg).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
     def test_zeroed_content_gives_position_only_weights(self):
@@ -263,7 +269,7 @@ class TestFraternalAttention:
         weights = []
         for _ in range(2):
             H = rng.standard_normal((4, cfg.d))
-            out = fraternal_attention(constant(H), params, cfg).data
+            out = fraternal_attention(constant(H), one_parent(H), params, cfg).data
             weights.append(out @ np.linalg.pinv(H))  # out = W @ H, same W expected
         np.testing.assert_allclose(weights[0], weights[1], atol=1e-8)
 
@@ -271,7 +277,8 @@ class TestFraternalAttention:
         cfg = small_config(max_children=3)
         params = init_params(cfg, seed=9)
         with pytest.raises(BranchingOverflow):
-            fraternal_attention(constant(np.zeros((4, cfg.d))), params, cfg)
+            H = np.zeros((4, cfg.d))
+            fraternal_attention(constant(H), one_parent(H), params, cfg)
 
 
 class TestBottomUpStep:
@@ -291,10 +298,10 @@ class TestBottomUpStep:
         rng = np.random.default_rng(6)
         e = rng.standard_normal((1, cfg.d))
         H = rng.standard_normal((5, cfg.d))
-        base = bottom_up_step(constant(e), [(constant(H[None]), None, None)], params, cfg).data
+        base = bottom_up_step(constant(e), constant(H), one_parent(H), params, cfg).data
         perm = rng.permutation(5)
         permuted = bottom_up_step(
-            constant(e), [(constant(H[perm][None]), None, None)], params, cfg
+            constant(e), constant(H[perm]), one_parent(H), params, cfg
         ).data
         np.testing.assert_allclose(permuted, base, atol=1e-12)
 
@@ -308,7 +315,7 @@ class TestBottomUpStep:
         e = rng.standard_normal(cfg.d)
         H = rng.standard_normal((2, cfg.d))
         got = bottom_up_step(
-            constant(e[None]), [(constant(H[None]), None, None)], params, cfg
+            constant(e[None]), constant(H), one_parent(H), params, cfg
         ).data[0]
         expected = oracle_bottom_up(e, H, np_params(params), cfg)
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -324,22 +331,17 @@ class TestBottomUpStep:
         counts = [[2, 1, 2], [4, 3], [1]]  # children per parent, one list per block
         e = rng.standard_normal((6, cfg.d))
         kids = [[rng.standard_normal((c, cfg.d)) for c in block] for block in counts]
-        blocks = []
+        rows, blocks = [], []
         for block in kids:
             w = max(len(k) for k in block)
-            H = np.zeros((len(block), w, cfg.d))
-            mask = np.zeros((len(block), w))
-            for b, k in enumerate(block):
-                H[b, : len(k)] = k
-                mask[b, : len(k)] = 1.0
-            mask_add = ((1.0 - mask) * MASK_FILL)[:, None, None, :]
-            blocks.append((constant(H), mask_add, np.array([len(k) for k in block])))
-        got = bottom_up_step(constant(e), blocks, params, cfg).data
+            for k in block:
+                rows += [k, np.zeros((w - len(k), cfg.d))]
+            blocks.append((w, np.array([len(k) for k in block])))
+        got = bottom_up_step(constant(e), constant(np.concatenate(rows)), blocks, params, cfg).data
         alone = [k for block in kids for k in block]
         for i, k in enumerate(alone):
-            block = [(constant(k[None]), None, None)]
-            want = bottom_up_step(constant(e[i : i + 1]), block, params, cfg).data[0]
-            assert np.abs(got[i] - want).max() <= 1e-10
+            want = bottom_up_step(constant(e[i : i + 1]), constant(k), one_parent(k), params, cfg)
+            assert np.abs(got[i] - want.data[0]).max() <= 1e-10
 
 
 class TestTopDownStep:
@@ -465,7 +467,7 @@ class TestAblations:
         rng = np.random.default_rng(11)
         e = rng.standard_normal((1, cfg.d))
         H = rng.standard_normal((3, cfg.d))
-        got = bottom_up_step(constant(e), [(constant(H[None]), None, None)], params, cfg).data
+        got = bottom_up_step(constant(e), constant(H), one_parent(H), params, cfg).data
         p = np_params(params)
         attended = oracle_mha(
             e, H, H, p["up.par.wq"], p["up.par.wk"], p["up.par.wv"], p["up.par.wo"],
@@ -484,7 +486,7 @@ class TestAblations:
         rng = np.random.default_rng(12)
         e = rng.standard_normal((1, cfg.d))
         H = rng.standard_normal((3, cfg.d))
-        got = bottom_up_step(constant(e), [(constant(H[None]), None, None)], params, cfg).data
+        got = bottom_up_step(constant(e), constant(H), one_parent(H), params, cfg).data
         p = np_params(params)
         H1 = H + p["up.frat.pos"][:3]
         attended = oracle_mha(
@@ -678,5 +680,5 @@ def test_per_head_scaling_flag_changes_scores():
     for flag in (True, False):
         cfg = small_config(per_head_scaling=flag)
         params = init_params(cfg, seed=41)
-        outs.append(fraternal_attention(constant(H), params, cfg).data)
+        outs.append(fraternal_attention(constant(H), one_parent(H), params, cfg).data)
     assert np.abs(outs[0] - outs[1]).max() > 1e-6

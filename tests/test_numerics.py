@@ -294,34 +294,36 @@ def test_shared_weight_matmul_gradients(a_shape, transposed, weight_3d):
     assert grad_check(f, params, eps=1e-6) < 1e-6
 
 
-ATTN_B, ATTN_N, ATTN_D, ATTN_HEADS = 2, 3, 6, 2
+ATTN_D, ATTN_HEADS, ATTN_POS = 6, 2, 5
+# two blocks of different widths, two groups each; masked, each block's second
+# group has one real key slot fewer
+ATTN_WIDTHS = (4, 3)
 
 
-def _attention_mask():
-    """The second block has one real slot fewer."""
-    mask = np.zeros((ATTN_B, 1, 1, ATTN_N))
-    mask[1, ..., -1] = nm.MASK_FILL
-    return mask
+def _attention_blocks(call, masked):
+    nq = {"parental": lambda w: 1}.get(call, lambda w: w)
+    return [(nq(w), w, [w, w - 1] if masked else [w, w]) for w in ATTN_WIDTHS]
 
 
 def _attention_inputs(call, masked, positioned, rng):
-    """Parameters and the attention call for one case. ``fraternal``: ``[B, n, d]``
-    queries, keys and values; ``parental``: ``[B, 1, d]`` queries against
-    ``[B, n, d]`` keys and values; ``self``: one ``[B, n, d]`` tensor as all three."""
-    nq = 1 if call == "parental" else ATTN_N
+    """Parameters and the attention call for one case. ``fraternal``: a group's
+    queries, keys and values are ``w`` rows each; ``parental``: one query row
+    against ``w`` key and value rows; ``self``: one tensor as all three."""
+    blocks = _attention_blocks(call, masked)
+    rq = sum(len(c) * nq for nq, _, c in blocks)
+    rk = sum(len(c) * nk for _, nk, c in blocks)
     params = ParamStore("float64")
-    params.add_param("q", rng.standard_normal((ATTN_B, nq, ATTN_D)))
+    params.add_param("q", rng.standard_normal((rq, ATTN_D)))
     if call != "self":
-        params.add_param("k", rng.standard_normal((ATTN_B, ATTN_N, ATTN_D)))
-        params.add_param("v", rng.standard_normal((ATTN_B, ATTN_N, ATTN_D)))
+        params.add_param("k", rng.standard_normal((rk, ATTN_D)))
+        params.add_param("v", rng.standard_normal((rk, ATTN_D)))
     if positioned:
-        params.add_param("pos", rng.standard_normal((nq, ATTN_N)))
-    mask = _attention_mask() if masked else None
+        params.add_param("pos", rng.standard_normal((ATTN_POS, ATTN_POS)))
 
-    def run(p):
+    def run(p, blocks=blocks):
         k, v = (p["q"], p["q"]) if call == "self" else (p["k"], p["v"])
         pos = p["pos"] if positioned else None
-        return nm.attention(p["q"], k, v, ATTN_HEADS, 1.7, mask_add=mask, pos_scores=pos)
+        return nm.attention(p["q"], k, v, ATTN_HEADS, 1.7, blocks, pos_scores=pos)
 
     return params, run
 
@@ -343,25 +345,74 @@ def test_attention_gradients(call, masked, positioned):
 
 
 def test_attention_equals_separate_ops():
-    """Bit-identical to heads split, scores scaled, position and mask added,
-    softmax, mix and heads merged as separate ops."""
+    """Bit-identical to, per block, heads split, scores scaled, position corner
+    and mask added, softmax, mix and heads merged as separate ops."""
     rng = np.random.default_rng(3)
     params, run = _attention_inputs("fraternal", True, True, rng)
+    dh = ATTN_D // ATTN_HEADS
+    pieces, start = [], 0
+    for nq, n, counts in _attention_blocks("fraternal", True):
+        B = len(counts)
+        rows = np.arange(start, start + B * n)
+        start += B * n
 
-    def split(x):
-        y = nm.reshape(x, (ATTN_B, ATTN_N, ATTN_HEADS, ATTN_D // ATTN_HEADS))
-        return nm.transpose(y, (0, 2, 1, 3))
+        def split(x):
+            y = nm.reshape(nm.gather_rows(x, rows), (B, n, ATTN_HEADS, dh))
+            return nm.transpose(y, (0, 2, 1, 3))
 
-    kt = nm.transpose(split(params["k"]), (0, 1, 3, 2))
-    scores = nm.add(nm.scale(matmul(split(params["q"]), kt), 1.0 / 1.7), params["pos"])
-    mixed = matmul(softmax(nm.add(scores, constant(_attention_mask()))), split(params["v"]))
-    want = nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (ATTN_B, ATTN_N, ATTN_D))
+        corner = nm.gather_rows(params["pos"], np.arange(n))
+        corner = nm.transpose(nm.gather_rows(nm.transpose(corner, (1, 0)), np.arange(n)), (1, 0))
+        mask = ((np.arange(n) >= np.array(counts)[:, None]) * nm.MASK_FILL)[:, None, None, :]
+        kt = nm.transpose(split(params["k"]), (0, 1, 3, 2))
+        scores = nm.add(nm.scale(matmul(split(params["q"]), kt), 1.0 / 1.7), corner)
+        mixed = matmul(softmax(nm.add(scores, constant(mask))), split(params["v"]))
+        pieces.append(nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (B * n, ATTN_D)))
+    want = nm.concat(pieces)
     assert run(params).data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("call", ["fraternal", "parental"])
+def test_attention_blocks_equal_one_call_per_block(call):
+    """One call over several blocks returns, bit for bit, the values and
+    gradients of one call per block."""
+    rng = np.random.default_rng(6)
+    params, run = _attention_inputs(call, True, True, rng)
+    seed = rng.standard_normal(run(params).shape)
+    backward(run(params), seed)
+    together = {name: params[name].grad.copy() for name in params.names()}
+    together_out = run(params).data
+    params.zero_grads()
+    outs, rq, rk = [], 0, 0
+    for nq, nk, counts in _attention_blocks(call, True):
+        qrows = np.arange(rq, rq + len(counts) * nq)
+        krows = np.arange(rk, rk + len(counts) * nk)
+        rq, rk = qrows[-1] + 1, krows[-1] + 1
+        out = nm.attention(
+            nm.gather_rows(params["q"], qrows), nm.gather_rows(params["k"], krows),
+            nm.gather_rows(params["v"], krows), ATTN_HEADS, 1.7, [(nq, nk, counts)],
+            pos_scores=params["pos"],
+        )
+        backward(out, seed[qrows])
+        outs.append(out.data)
+    assert np.concatenate(outs).tobytes() == together_out.tobytes()
+    for name, grad in together.items():
+        assert params[name].grad.tobytes() == grad.tobytes(), name
+
+
+def test_attention_rejects_blocks_that_miss_rows():
+    params, run = _attention_inputs("fraternal", True, True, np.random.default_rng(7))
+    blocks = _attention_blocks("fraternal", True)
+    with pytest.raises(ShapeError, match="cover"):
+        run(params, blocks[:1])  # too few query and key rows
+    with pytest.raises(ShapeError, match="cover"):  # the queries fit, the keys do not
+        run(params, [(4, 4, [4, 4]), (2, 3, [1, 1, 1])])
+    with pytest.raises(ShapeError, match="narrower"):
+        run(params, [(7, 7, [7, 7])])  # 14 rows, a block wider than the table
 
 
 def test_attention_nan_query_named():
     params, run = _attention_inputs("parental", False, False, np.random.default_rng(4))
-    params["q"].data[0, 0, 2] = np.nan
+    params["q"].data[0, 2] = np.nan
     with pytest.raises(NonFiniteError, match="attention"):
         run(params)
 
@@ -372,13 +423,20 @@ def test_attention_masked_slots_get_zero_gradient():
     rng = np.random.default_rng(5)
     for call in ("fraternal", "parental"):
         params, run = _attention_inputs(call, True, True, rng)
-        params["k"].data[1, -1] = 1e3
-        params["v"].data[1, -1] = -1e3
+        pad, start = [], 0
+        for _, nk, counts in _attention_blocks(call, True):
+            for c in counts:
+                pad += range(start + c, start + nk)
+                start += nk
+        assert pad
+        params["k"].data[pad] = 1e3
+        params["v"].data[pad] = -1e3
         out = run(params)
         backward(out, rng.standard_normal(out.shape))
+        real = np.setdiff1d(np.arange(start), pad)
         for name in ("k", "v"):
-            assert not params[name].grad[1, -1].any()
-            assert params[name].grad[0, -1].all() and params[name].grad[1, :-1].all()
+            assert not params[name].grad[pad].any()
+            assert params[name].grad[real].all()
 
 
 class TestNoGrad:
@@ -461,6 +519,27 @@ class TestBackward:
         mid = nm.mul(w, constant([[2.0, 2.0]]))
         backward(nm.sum_all(mid))
         assert mid.grad is not None and w.grad is not None
+
+    def test_constants_get_no_gradient(self):
+        """Operands that need no gradient get none, and the parameters' are
+        those of the same graph with every operand learnable."""
+        rng = np.random.default_rng(8)
+        values = {name: rng.standard_normal((3, 4)) for name in ("w", "c", "rows")}
+        grads = []
+        for learnable in (False, True):
+            params = ParamStore("float64")
+            w = params.add_param("w", values["w"])
+            make = (lambda n: params.add_param(n, values[n])) if learnable else (
+                lambda n: constant(values[n])
+            )
+            c, rows = make("c"), make("rows")
+            picked = nm.gather_rows(rows, [2, 0, 2])
+            out = nm.sum_all(nm.mul(nm.add(nm.mul(w, c), picked), picked))
+            backward(out)
+            if not learnable:
+                assert c.grad is None and rows.grad is None
+            grads.append(w.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestParamStore:

@@ -1,5 +1,6 @@
 """Property tests over random forests: schedules, cached tree arrays, batched vs
-naive, the node-classify head's rows, and checkpoint round trips."""
+naive, the node-classify head's rows, checkpoint round trips, and the JSON-lines
+round trips of random trees and generated mini-language programs."""
 
 import os
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import chain
 from treeformer.batched import batch_state_tensors
+from treeformer.minilang import MINI_VOCAB, parse
 from treeformer.model import ModelConfig, embed_node, encode_tree, init_params
 from treeformer.numerics import (
     CheckpointError,
@@ -21,8 +23,21 @@ from treeformer.numerics import (
     save_checkpoint,
 )
 from treeformer.scheduler import build_schedule, check_schedule, cost_report
+from treeformer.synth import gen_program_source, load_corpus, mutate_operator, save_wrongop_corpus
 from treeformer.training import cross_entropy, task_forward
-from treeformer.trees import SyntaxTree, depths, heights, preorder, random_tree, tree_arrays
+from treeformer.trees import (
+    SyntaxTree,
+    Vocabulary,
+    depths,
+    heights,
+    iter_tree_lines,
+    load_trees,
+    preorder,
+    random_tree,
+    save_trees,
+    tree_arrays,
+    tree_to_line,
+)
 
 MAX_CHILDREN = 16
 
@@ -225,3 +240,52 @@ def test_checkpoint_round_trip_and_damage(cfg, dtype, data):
                 fh.write(damaged)
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
+
+
+# ten type and ten token symbols (with the reserved one at 0), as random_tree
+# draws them; each needs escaping in JSON
+JSON_VOCAB = Vocabulary(
+    [f'type "{i}" \\ \u00e9' for i in range(1, 10)], [f"tok\t{i}\n\u2603" for i in range(1, 10)]
+)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(forests(max_nodes=120), st.data())
+def test_tree_lines_round_trip(batch, data):
+    """Random trees, labels included, read back equal from their ``tree_to_line``
+    lines through ``iter_tree_lines``, and write the same lines again."""
+    labeled = []
+    for tree in batch:
+        node_labels = st.dictionaries(st.sampled_from(sorted(tree.nodes)), st.integers(0, 9))
+        labeled.append(replace(
+            tree,
+            tree_label=data.draw(st.none() | st.integers(0, 99)),
+            node_labels=data.draw(st.none() | node_labels),
+        ))
+    lines = [tree_to_line(tree, JSON_VOCAB) for tree in labeled]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trees.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        back = list(iter_tree_lines(path, JSON_VOCAB))
+    assert back == labeled
+    assert [tree_to_line(tree, JSON_VOCAB) for tree in back] == lines
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_generated_programs_round_trip(seed, min_ops):
+    """Generated programs parse, and their trees come back equal from a tree
+    file (``save_trees`` -> ``load_trees``) and, with their mutations, from a
+    wrong-operator corpus (``save_wrongop_corpus`` -> ``load_corpus``)."""
+    rng = np.random.default_rng(seed)
+    trees = [parse(gen_program_source(rng, min_ops)) for _ in range(3)]
+    records = [mutate_operator(tree, seed + i) for i, tree in enumerate(trees)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trees.jsonl")
+        save_trees(trees, path, MINI_VOCAB)
+        assert load_trees(path, MINI_VOCAB) == trees
+        save_wrongop_corpus(os.path.join(tmp, "corpus"), records, seed)
+        corpus = load_corpus(os.path.join(tmp, "corpus"))
+    assert corpus.records == records
+    assert corpus.trees == [record.tree for record in records]
