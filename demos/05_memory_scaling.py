@@ -4,8 +4,8 @@
 # ever runs across one node's children (k of them), so a tree costs
 # sum(k_i^2) cells. With bounded branching that is linear in N, and the
 # advantage over N^2 grows linearly with tree size. The counts are read from
-# the schedule the batched encoder runs (its buckets' child counts and
-# widths), and the demo checks them against sum(k^2) counted from the trees.
+# the schedule the batched encoder runs (its buckets' shapes), and the demo
+# checks them against sum(k^2) counted from the trees.
 
 import numpy as np
 

@@ -2,14 +2,12 @@
 
 Semantics must match the naive recursion exactly (up to float summation
 order). The bottom-up unit runs once per height: one ``bottom_up_step`` call
-takes the level's parent rows and all its child slots as one flat tensor,
-each parent's children padded to its bucket's width; only the attention op
-reads the bucket boundaries. Padded child slots are zero-filled on gather and
-their attention scores are pushed to an underflow fill before softmax, so
-padding cannot influence any real node's state. A debug rng can overwrite
-padding with noise to let tests verify that claim. The top-down unit is
-row-wise and runs once per depth on the unpadded rows of that depth, each
-with its parent's row.
+takes the level's parent rows and all their children's rows as one flat
+tensor, bucket after bucket, each parent's children on consecutive rows; only
+the attention op reads the bucket boundaries. A bucket's width is its
+parents' exact child count, so no row is padding. The top-down unit is
+row-wise and runs once per depth on the rows of that depth, each with its
+parent's row.
 
 No op inside the level loops reads or returns a whole-batch ``[n_rows, d]``
 tensor. Each level's output is its own tensor, and a level reads the rows it
@@ -32,9 +30,7 @@ from .model import (
 from .numerics import (
     ParamStore,
     Tensor,
-    add,
     concat,
-    constant,
     gather_rows,
     gather_rows_from,
     scatter_rows,
@@ -46,19 +42,16 @@ from .trees import SyntaxTree, tree_arrays
 def _read_children(
     buckets: list[Bucket], levels: list[Tensor], level_of: np.ndarray, pos: np.ndarray
 ) -> Tensor:
-    """A level's child slots, bucket after bucket, as flat ``[sum of B * w, d]``
-    rows, zero at padding.
+    """A level's children, bucket after bucket, as flat ``[sum of B * w, d]`` rows.
 
     Row ``r``'s bottom-up state is row ``pos[r]`` of ``levels[level_of[r]]``.
     """
-    mask = np.concatenate([bucket.mask.reshape(-1) for bucket in buckets])
-    slots = np.flatnonzero(mask)
-    kids = np.concatenate([bucket.child_rows.reshape(-1) for bucket in buckets])[slots]
+    kids = np.concatenate([bucket.child_rows.reshape(-1) for bucket in buckets])
     level = level_of[kids]
     order = np.argsort(level, kind="stable")
     runs = np.split(order, np.flatnonzero(np.diff(level[order])) + 1)
-    parts = [(levels[level[run[0]]], slots[run], pos[kids[run]]) for run in runs]
-    return gather_rows_from(mask.size, parts)
+    parts = [(levels[level[run[0]]], run, pos[kids[run]]) for run in runs]
+    return gather_rows_from(len(kids), parts)
 
 
 def batch_state_tensors(
@@ -66,14 +59,12 @@ def batch_state_tensors(
     params: ParamStore,
     config: ModelConfig,
     schedule: Schedule | None = None,
-    pad_rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, Schedule]:
     """Embed and propagate a batch; returns (X, S_up, S_down, schedule).
 
     All three are ``[n_rows, d]`` in the ``schedule.row_index`` layout.
-    ``pad_rng``, when given, fills the bottom-up buckets' padded slots with
-    random values instead of zeros (leak testing only). Raises NonFiniteError
-    naming the pass, tree and node if a returned state holds NaN or Inf.
+    Raises NonFiniteError naming the pass, tree and node if a returned state
+    holds NaN or Inf.
     """
     if schedule is None:
         schedule = build_schedule(trees)
@@ -84,7 +75,6 @@ def batch_state_tensors(
         np.concatenate([a.type_id for a in arrays]),
         np.concatenate([a.token_plus1 for a in arrays]),
     )
-    dtype = X.dtype
 
     # levels[h] holds the bottom-up states of height h, levels[0] = X those
     # of the leaves; row r's state is row pos[r] of levels[level_of[r]]
@@ -93,11 +83,7 @@ def batch_state_tensors(
     pos = np.arange(schedule.n_rows)
     for height, group in enumerate(schedule.bottom_up_levels, start=1):
         H = _read_children(group.buckets, levels, level_of, pos)
-        if pad_rng is not None:
-            pad = np.concatenate([1.0 - bucket.mask.reshape(-1) for bucket in group.buckets])
-            noise = pad_rng.standard_normal(H.shape).astype(dtype)
-            H = add(H, constant(noise * pad[:, None].astype(dtype)))
-        blocks = [(bucket.mask.shape[1], bucket.child_counts) for bucket in group.buckets]
+        blocks = [(bucket.child_rows.shape[1], len(bucket.parents)) for bucket in group.buckets]
         rows = np.concatenate([bucket.parents for bucket in group.buckets])
         levels.append(bottom_up_step(gather_rows(X, rows), H, blocks, params, config))
         level_rows.append(rows)
@@ -136,10 +122,9 @@ def encode_batch(
     params: ParamStore,
     config: ModelConfig,
     schedule: Schedule | None = None,
-    pad_rng: np.random.Generator | None = None,
 ) -> list[NodeStates]:
     """Per-tree NodeStates via the level-synchronous schedule."""
-    _, S, D, schedule = batch_state_tensors(trees, params, config, schedule, pad_rng)
+    _, S, D, schedule = batch_state_tensors(trees, params, config, schedule)
     out = []
     for t, tree in enumerate(trees):
         index = schedule.row_index[t]

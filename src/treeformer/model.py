@@ -10,16 +10,16 @@ final state is broadcast-added onto its children's bottom-up states and
 passed through a second feed-forward unit; the root's top-down state is its
 bottom-up state. Node vectors after the top-down pass are the final
 representations. ``bottom_up_step`` updates one level of parents at once,
-from their children's states as flat rows, one run of padded slots per
-parent; the naive recursion here calls it with one block of one parent. Every
-op of the step runs once over the level's rows. Both attentions run through
-``numerics.attention``, one op (and one tape node) that splits heads, scores
-each parent's group of rows, masks, normalizes, mixes and merges heads, with
-an analytic backward; only the projections around it are separate ops. The
-task heads on top of them (a gated softmax pool for tree classification, a
-pointer and a repair head for wrong operators, and a per-node classifier) run
-batched, in ``training.task_forward``; evaluation runs them inside
-``numerics.no_grad``, which records no tape.
+from their children's states as flat rows, each parent's children on
+consecutive rows; the naive recursion here calls it with one block of one
+parent. Every op of the step runs once over the level's rows. Both attentions
+run through ``numerics.attention``, one op (and one tape node) that splits
+heads, scores each parent's group of rows, normalizes, mixes and merges
+heads, with an analytic backward; only the projections around it are
+separate ops. The task heads on top of them (a gated softmax pool for tree
+classification, a pointer and a repair head for wrong operators, and a
+per-node classifier) run batched, in ``training.task_forward``; evaluation
+runs them inside ``numerics.no_grad``, which records no tape.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .numerics import (
     scale,
     transpose,
 )
-from .scheduler import _next_pow2
 from .trees import SyntaxNode, SyntaxTree, preorder
 
 
@@ -124,6 +123,13 @@ class NodeStates:
 
     up: dict[int, np.ndarray]
     down: dict[int, np.ndarray]
+
+
+def _next_pow2(n: int) -> int:
+    p = 1
+    while p < n:
+        p *= 2
+    return p
 
 
 def sinusoidal_rows(n: int, d: int, base: float = 100.0) -> np.ndarray:
@@ -235,10 +241,10 @@ def _position_scores(params: ParamStore, config: ModelConfig, n: int, denom: flo
 
 
 def _check_branching(config: ModelConfig, blocks) -> None:
-    real = max(int(np.max(counts)) for _, counts in blocks)
-    if real > config.max_children:
+    widest = max(w for w, _ in blocks)
+    if widest > config.max_children:
         raise BranchingOverflow(
-            f"{real} children exceed max_children={config.max_children}"
+            f"{widest} children exceed max_children={config.max_children}"
         )
 
 
@@ -253,7 +259,6 @@ def fraternal_attention(
     indices, comes from one table built at the widest block, and vanishes
     when position encoding is ablated.
     """
-    _check_branching(config, blocks)
     width = config.d_head if config.per_head_scaling else config.d
     denom = math.sqrt(2.0 * width)
     pos = None
@@ -261,7 +266,7 @@ def fraternal_attention(
         pos = _position_scores(params, config, max(w for w, _ in blocks), denom)
     weights = [params[f"up.frat.{name}"] for name in ("wq", "wk", "wv", "wo")]
     return multi_head_attention(
-        H, H, H, *weights, config.heads, denom, [(w, w, counts) for w, counts in blocks], pos
+        H, H, H, *weights, config.heads, denom, [(w, w, n) for w, n in blocks], pos
     )
 
 
@@ -279,7 +284,7 @@ def _ln(x: Tensor, params: ParamStore, name: str, config: ModelConfig) -> Tensor
 def bottom_up_step(
     e_parents: Tensor,
     H: Tensor,
-    blocks: list[tuple[int, np.ndarray]],
+    blocks: list[tuple[int, int]],
     params: ParamStore,
     config: ModelConfig,
 ) -> Tensor:
@@ -287,11 +292,9 @@ def bottom_up_step(
 
     ``e_parents``: ``[P, d]`` initial embeddings (attention queries and
     residuals). ``H``: the children's states as flat ``[sum of B * w, d]``
-    rows. ``blocks`` holds ``(w, child_counts)`` per group of ``B =
-    len(child_counts)`` parents, in the order of ``e_parents``: parent ``b``'s
-    children fill ``w`` consecutive rows, of which those past
-    ``child_counts[b]`` are padding that takes no attention weight. Returns
-    ``[P, d]``.
+    rows. ``blocks`` holds ``(w, B)`` per group of ``B`` parents with ``w``
+    children each, in the order of ``e_parents``: parent ``b``'s children
+    fill ``w`` consecutive rows. Returns ``[P, d]``.
 
     Every op runs once over the level's rows; only the two attention ops read
     the blocks, to score each parent's children among themselves (fraternal)
@@ -302,13 +305,13 @@ def bottom_up_step(
         frat = fraternal_attention(H, blocks, params, config)
         H = _ln(add(frat, H), params, "up.ln_frat", config)
     elif config.pe_before_parental:
-        slots = np.concatenate([np.tile(np.arange(w), len(counts)) for w, counts in blocks])
+        slots = np.concatenate([np.tile(np.arange(w), n) for w, n in blocks])
         H = add(H, gather_rows(params["up.frat.pos"], slots))
     width = config.d_head if config.per_head_scaling else config.d
     weights = [params[f"up.par.{name}"] for name in ("wq", "wk", "wv", "wo")]
     attended = multi_head_attention(
         e_parents, H, H, *weights, config.heads, math.sqrt(width),
-        [(1, w, counts) for w, counts in blocks],
+        [(1, w, n) for w, n in blocks],
     )
     mid = _ln(add(attended, e_parents), params, "up.ln_attn", config)
     return _ln(add(_ffn(mid, params, "up.ffn"), mid), params, "up.ln_out", config)
@@ -388,7 +391,7 @@ def naive_state_tensors(
         else:
             n = len(node.children)
             H = concat([up[c] for c in node.children], axis=0)
-            up[nid] = bottom_up_step(e[nid], H, [(n, np.array([n]))], params, config)
+            up[nid] = bottom_up_step(e[nid], H, [(n, 1)], params, config)
 
     if not config.use_top_down:
         return e, up, dict(up)

@@ -21,7 +21,7 @@ import numpy as np
 _FLOAT_DTYPES = {"float64": np.float64, "float32": np.float32}
 
 # Finite additive mask value: exp() underflows to exactly 0.0 for both dtypes,
-# so masked attention slots contribute exactly nothing.
+# so the slots a task head masks out of its softmax contribute exactly nothing.
 MASK_FILL = -1e30
 
 
@@ -350,24 +350,21 @@ def attention(
     """Multi-head scaled dot-product attention over groups of flat rows, as one op.
 
     ``q`` is ``[Rq, d]`` and ``k``, ``v`` are ``[Rk, d]``, each split into
-    ``heads`` column blocks. ``blocks`` holds ``(nq, nk, counts)`` per block:
-    ``len(counts)`` groups in row order, group ``b`` with ``nq`` query rows
-    and ``nk`` key rows, of which key slots from ``counts[b]`` on score
-    ``MASK_FILL`` and take no weight. Per group and head, the scores are
-    ``q k^T / denom`` plus the ``[:nq, :nk]`` corner of ``pos_scores`` (one
-    ``[W, W]`` table shared by every block and head); their softmax over the
-    keys mixes ``v``, and the heads merge back into ``[Rq, d]``. Values equal
-    the composition of the separate ops, block by block; the backward is
+    ``heads`` column blocks. ``blocks`` holds ``(nq, nk, n_groups)`` per
+    block: ``n_groups`` groups in row order, each with ``nq`` query rows and
+    ``nk`` key rows. Per group and head, the scores are ``q k^T / denom``
+    plus the ``[:nq, :nk]`` corner of ``pos_scores`` (one ``[W, W]`` table
+    shared by every block and head); their softmax over the keys mixes
+    ``v``, and the heads merge back into ``[Rq, d]``. Values equal the
+    composition of the separate ops, block by block; the backward is
     analytic.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (Rq, d), Rk = q.data.shape, k.data.shape[0]
     c = float(1.0 / denom)
-    layout, rq, rk = [], 0, 0  # per block: query rows, key rows, nq, nk, counts
-    for nq, nk, counts in blocks:
-        counts = np.asarray(counts)
-        n = len(counts)
-        layout.append((slice(rq, rq + n * nq), slice(rk, rk + n * nk), nq, nk, counts))
+    layout, rq, rk = [], 0, 0  # per block: query rows, key rows, nq, nk
+    for nq, nk, n in blocks:
+        layout.append((slice(rq, rq + n * nq), slice(rk, rk + n * nk), nq, nk))
         rq, rk = rq + n * nq, rk + n * nk
     if (rq, rk) != (Rq, Rk) or v.data.shape[0] != Rk:
         raise ShapeError(
@@ -376,7 +373,7 @@ def attention(
         )
     if pos_scores is not None and any(
         nq > pos_scores.data.shape[0] or nk > pos_scores.data.shape[1]
-        for _, _, nq, nk, _ in layout
+        for _, _, nq, nk in layout
     ):
         raise ShapeError(f"position scores {pos_scores.data.shape} narrower than a block")
 
@@ -388,15 +385,12 @@ def attention(
 
     out = np.empty_like(q.data)
     saved = []
-    for qs, ks, nq, nk, counts in layout:
+    for qs, ks, nq, nk in layout:
         qh, kh, vh = split(q.data[qs], nq), split(k.data[ks], nk), split(v.data[ks], nk)
         p = np.matmul(qh, np.swapaxes(kh, -1, -2))  # the scores, softmaxed in place below
         p *= c
         if pos_scores is not None:
             p += pos_scores.data[:nq, :nk]
-        pad = np.arange(nk) >= counts[:, None]
-        if pad.any():
-            p += (pad * MASK_FILL).astype(p.dtype)[:, None, None, :]
         if not np.isfinite(p.sum()):
             raise NonFiniteError("attention scores contain NaN/Inf")
         p -= p.max(axis=-1, keepdims=True)
@@ -408,7 +402,7 @@ def attention(
     def bw(g):
         dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
         dpos = None if pos_scores is None else np.zeros_like(pos_scores.data)
-        for (qs, ks, nq, nk, _), (qh, kh, vh, p) in zip(layout, saved):
+        for (qs, ks, nq, nk), (qh, kh, vh, p) in zip(layout, saved):
             gh = split(g[qs], nq)
             dp = np.matmul(gh, np.swapaxes(vh, -1, -2))
             dv[ks] = merge(np.matmul(np.swapaxes(p, -1, -2), gh))

@@ -2,16 +2,16 @@
 
 A plan is rows only: tree ``t``'s nodes sit on consecutive global rows, and
 each level holds the arrays of rows the executor reads. Bottom-up levels hold
-the nodes of equal height (all children already computed) in power-of-two
-child-count buckets with explicit masks, so the bottom-up unit runs as
-rectangular batched operations. Top-down levels hold the nodes of equal depth
-(parents already computed) in one width-1 bucket without padding: the
-top-down unit is row-wise, so each row is one node and its parent.
+the nodes of equal height (all children already computed) in buckets of equal
+child count, so every bucket is an exact rectangle of child rows and nothing
+is padded. Top-down levels hold the nodes of equal depth (parents already
+computed) in one width-1 bucket: the top-down unit is row-wise, so each row is
+one node and its parent.
 
 A plan is built from each tree's cached index arrays (``trees.tree_arrays``):
 the batch concatenates them with row offsets and sorts once per direction,
-bottom-up by (height, width, tree, reversed preorder), top-down by (depth,
-tree, breadth-first order).
+bottom-up by (height, child count, tree, reversed preorder), top-down by
+(depth, tree, breadth-first order).
 """
 
 from __future__ import annotations
@@ -27,29 +27,26 @@ class DependencyViolation(Exception):
     pass
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 @dataclass(frozen=True)
 class Bucket:
-    """Rectangular layout for one child-count range within a level.
+    """The parents of one child count within a level, with their children's rows.
 
-    Bottom-up, row ``b`` describes the children of ``parents[b]``; slots past
-    the real child count are padding and carry mask 0. A level's buckets come
-    in increasing width (``child_rows.shape[1]``); rows within a bucket follow
-    tree order, then reversed preorder within a tree. Top-down, the width is 1
-    and row ``b`` is one child, ``child_rows[b, 0]``, and its parent, in tree
-    order, then breadth-first order within a tree.
+    Bottom-up, row ``b`` holds the ``w`` children of ``parents[b]``, where
+    ``w = child_rows.shape[1]`` is every parent's exact child count. A level's
+    buckets come in increasing width; rows within a bucket follow tree order,
+    then reversed preorder within a tree. Top-down, the width is 1 and row
+    ``b`` is one child, ``child_rows[b, 0]``, and its parent, in tree order,
+    then breadth-first order within a tree.
     """
 
     parents: np.ndarray  # [B] global rows of the parent nodes
-    child_rows: np.ndarray  # [B, width] global rows, padded with 0
-    mask: np.ndarray  # [B, width] 1.0 real / 0.0 padding
-    child_counts: np.ndarray  # [B]
+    child_rows: np.ndarray  # [B, width] global rows
+
+    @property
+    def mask(self) -> np.ndarray:
+        """All ones: no slot is padding. Kept for the benchmark's slot counts
+        (``perfbench/tracing._schedule_counts``)."""
+        return np.ones(self.child_rows.shape)
 
 
 @dataclass(frozen=True)
@@ -106,10 +103,9 @@ def build_schedule(batch: list[SyntaxTree]) -> Schedule:
         for a, o in zip(arrays, offsets)
     ]
 
-    # bottom-up: inner nodes sorted by (height, width, tree, reversed preorder)
+    # bottom-up: inner nodes sorted by (height, child count, tree, reversed preorder)
     inner = np.flatnonzero(height)
-    pow2 = np.array([_next_pow2(c) for c in range(int(counts.max(initial=0)) + 1)], np.intp)
-    width = pow2[counts[inner]]
+    width = counts[inner]
     up_key = (base + cat("up_rank"))[inner]
     order = np.lexsort((up_key, width, height[inner]))
     rows, row_width = inner[order], width[order]
@@ -118,13 +114,9 @@ def build_schedule(batch: list[SyntaxTree]) -> Schedule:
         buckets = []
         for a, b in _runs(row_width[lo:hi]):
             a, b = lo + a, lo + b
-            parents, w = rows[a:b], int(row_width[a])
-            n = counts[parents]
-            slot = np.arange(w)
-            real = slot < n[:, None]
-            child_rows = np.zeros((b - a, w), dtype=np.intp)
-            child_rows[real] = child_idx[(ptr[parents][:, None] + slot)[real]]
-            buckets.append(Bucket(parents, child_rows, real.astype(np.float64), n))
+            parents = rows[a:b]
+            slot = np.arange(row_width[a])
+            buckets.append(Bucket(parents, child_idx[ptr[parents][:, None] + slot]))
         bottom_up.append(Group(buckets))
 
     # top-down: non-roots sorted by (depth, tree, breadth-first order), one
@@ -134,9 +126,8 @@ def build_schedule(batch: list[SyntaxTree]) -> Schedule:
     rows = nonroot[np.lexsort((down_key, depth[nonroot]))]
     top_down = []
     for lo, hi in _runs(depth[rows]):
-        kids, n = rows[lo:hi], hi - lo
-        bucket = Bucket(parent[kids], kids[:, None].copy(), np.ones((n, 1)), np.ones(n, np.intp))
-        top_down.append(Group([bucket]))
+        kids = rows[lo:hi]
+        top_down.append(Group([Bucket(parent[kids], kids[:, None])]))
     return Schedule(bottom_up, top_down, row_index, int(offsets[-1]))
 
 
@@ -172,8 +163,7 @@ def check_schedule(schedule: Schedule, batch: list[SyntaxTree]) -> None:
 
     def rows(bucket, level, direction):
         n, shape = len(bucket.parents), np.shape(bucket.child_rows)
-        if len(shape) != 2 or shape[0] != n or np.shape(bucket.mask) != shape \
-                or np.shape(bucket.child_counts) != (n,):
+        if len(shape) != 2 or shape[0] != n:
             raise DependencyViolation(f"{direction} level {level}: bucket shapes disagree")
         out = bucket.parents if direction == "bottom-up" else bucket.child_rows[:, 0]
         if n and not (0 <= out.min() and out.max() < len(node_at)):
@@ -189,19 +179,13 @@ def check_schedule(schedule: Schedule, batch: list[SyntaxTree]) -> None:
                 if done_at[row] is not None:
                     fail(row, "scheduled twice in bottom-up order")
                 ks = kids[row]
-                if bucket.child_rows.shape[1] < len(ks):
-                    fail(row, "bucket narrower than child count")
-                if bucket.child_counts[b] != len(ks):
-                    fail(row, "bucket child count mismatch")
+                if bucket.child_rows.shape[1] != len(ks):
+                    fail(row, "bucket width is not the child count")
                 for j, c in enumerate(ks):
                     if bucket.child_rows[b, j] != c:
                         fail(row, f"bucket child row mismatch at slot {j}")
-                    if bucket.mask[b, j] != 1.0:
-                        fail(row, f"real slot {j} masked out")
                     if done_at[c] is None or done_at[c] >= level:
                         fail(row, f"child {node_at[c][1]} not computed yet")
-                if bucket.mask[b, len(ks) :].any():
-                    fail(row, "padding slot unmasked")
                 done_at[row] = level
     if None in done_at:
         fail(done_at.index(None), "never scheduled in bottom-up order")
@@ -221,8 +205,6 @@ def check_schedule(schedule: Schedule, batch: list[SyntaxTree]) -> None:
                 fail(row, "root listed in top-down order")
             if bucket.parents[b] != parent:
                 fail(row, "bucket parent row mismatch")
-            if bucket.child_counts[b] != 1 or bucket.mask[b, 0] != 1.0:
-                fail(row, "top-down row masked out or miscounted")
             if done_at[row] is not None:
                 fail(row, "scheduled twice in top-down order")
             if done_at[parent] != level - 1:
@@ -246,7 +228,8 @@ class CostReport:
     ``attention_cells`` is k^2 per node with k children, per head;
     ``full_attention_cells`` is N^2 per tree of N nodes. ``allocated_cells``
     counts what the bottom-up buckets allocate, B * heads * w^2 for B parents
-    padded to w slots, and ``peak_cells`` is the largest single bucket's.
+    of w children, which is heads * ``attention_cells`` since no slot is
+    padded; ``peak_cells`` is the largest single bucket's.
     """
 
     attention_cells: int
@@ -257,8 +240,7 @@ class CostReport:
 
 def cost_report(schedule: Schedule, heads: int) -> CostReport:
     """Score cells of the sibling attention that ``schedule`` runs, read from its arrays."""
-    buckets = [bucket for group in schedule.bottom_up_levels for bucket in group.buckets]
-    attention = sum(int((b.child_counts.astype(np.int64) ** 2).sum()) for b in buckets)
+    shapes = [b.child_rows.shape for group in schedule.bottom_up_levels for b in group.buckets]
+    cells = [n * w * w for n, w in shapes]
     full = sum(len(index) ** 2 for index in schedule.row_index)
-    allocated = [heads * b.child_rows.shape[0] * b.child_rows.shape[1] ** 2 for b in buckets]
-    return CostReport(attention, full, sum(allocated), max(allocated, default=0))
+    return CostReport(sum(cells), full, heads * sum(cells), heads * max(cells, default=0))

@@ -24,6 +24,7 @@ from .trees import (
     iter_tree_lines,
     tree_digest,
     tree_from_obj,
+    tree_to_line,
     tree_to_obj,
 )
 
@@ -383,7 +384,7 @@ def save_classify_corpus(out_dir, samples: list[ClassifySample], seed: int) -> N
     _write_corpus(
         out_dir,
         task="classify",
-        lines=[_line(s.tree) for s in samples],
+        lines=[tree_to_line(s.tree, MINI_VOCAB) for s in samples],
         seed=seed,
         extra={"classes": 1 + max(s.tree.tree_label for s in samples)} if samples else {},
     )
@@ -407,10 +408,6 @@ def save_wrongop_corpus(out_dir, records: list[MutationRecord], seed: int) -> No
         seed=seed,
         extra={"operators": list(OPS_MINI)},
     )
-
-
-def _line(tree: SyntaxTree) -> str:
-    return json.dumps(tree_to_obj(tree, MINI_VOCAB), separators=(",", ":"), ensure_ascii=False)
 
 
 def _write_corpus(out_dir, task: str, lines: list[str], seed: int, extra: dict) -> None:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,38 +122,61 @@ class TestGradientOracle:
             assert np.abs(batched[name] - want).max() <= bound, name
 
 
-class TestPaddingIsolation:
-    def test_random_padding_never_leaks(self):
-        """Padded slot contents must not influence any real node's state."""
-        cfg = config()
-        params = init_params(cfg, seed=6)
+def _retyped(tree, ids, rng):
+    """``tree`` with every node in ``ids`` given another type id."""
+    nodes = dict(tree.nodes)
+    for nid in ids:
+        node = nodes[nid]
+        nodes[nid] = replace(node, type_id=(node.type_id + int(rng.integers(1, 10))) % 10)
+    return replace(tree, nodes=nodes)
+
+
+def _ancestry(tree, nid):
+    """``nid`` and every node above it."""
+    parent = {c: p.id for p in tree.nodes.values() for c in p.children}
+    out = [nid]
+    while out[-1] in parent:
+        out.append(parent[out[-1]])
+    return out
+
+
+class TestIsolation:
+    """A node's bottom-up state reads only its own subtree, and its final state
+    only its own tree: inputs changed anywhere else leave it bit-identical."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_perturbations_stay_local(self, dtype):
+        cfg = config(max_children=16)
+        params = init_params(cfg, seed=6, dtype=dtype)
         rng = np.random.default_rng(7)
-        # mixed child counts force padded buckets (3 pads to width 4, 5 to 8)
-        trees = [
-            make_tree({0: [1, 2, 3], 2: [4, 5]}),
-            make_tree({0: [1, 2, 3, 4, 5], 3: [6]}),
-            random_tree(rng, 30, 6, 10, 10),
-        ]
-        clean = encode_batch(trees, params, cfg)
-        for round_seed in range(3):
-            noisy = encode_batch(
-                trees, params, cfg, pad_rng=np.random.default_rng(round_seed)
+        for _ in range(20):
+            trees = [star(int(rng.integers(1, 17)))] + [
+                random_tree(rng, int(rng.integers(1, 60)), int(rng.integers(1, 17)), 10, 10)
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            rng.shuffle(trees)
+            _, S, D, schedule = batch_state_tensors(trees, params, cfg)
+            t = int(rng.integers(len(trees)))
+            index = schedule.row_index[t]
+
+            # every type id of tree t: no other tree's row moves
+            edited = list(trees)
+            edited[t] = _retyped(trees[t], index, rng)
+            _, S2, D2, _ = batch_state_tensors(edited, params, cfg)
+            others = np.setdiff1d(np.arange(schedule.n_rows), list(index.values()))
+            assert S2.data[others].tobytes() == S.data[others].tobytes()
+            assert D2.data[others].tobytes() == D.data[others].tobytes()
+            assert not np.array_equal(S2.data[index[trees[t].root]], S.data[index[trees[t].root]])
+
+            # one node of tree t: only its own and its ancestors' bottom-up rows move
+            nid = list(index)[int(rng.integers(len(index)))]
+            edited[t] = _retyped(trees[t], [nid], rng)
+            _, S3, _, _ = batch_state_tensors(edited, params, cfg)
+            kept = np.setdiff1d(
+                np.arange(schedule.n_rows), [index[a] for a in _ancestry(trees[t], nid)]
             )
-            for a, b in zip(clean, noisy):
-                for nid in a.up:
-                    assert np.array_equal(a.up[nid], b.up[nid])
-                    assert np.array_equal(a.down[nid], b.down[nid])
-
-    def test_gradients_do_not_flow_into_padding_sources(self):
-        from treeformer.numerics import backward, gather_rows, matmul, constant
-
-        cfg = config()
-        params = init_params(cfg, seed=8)
-        trees = [make_tree({0: [1, 2, 3]})]  # width 4 bucket, one padded slot
-        X, S, D, schedule = batch_state_tensors(trees, params, cfg)
-        u = constant(np.ones((cfg.d, 1)))
-        backward(matmul(gather_rows(D, [schedule.row_index[0][0]]), u))
-        assert all(params.params[n].grad is not None for n in ("up.frat.wq",))
+            assert S3.data[kept].tobytes() == S.data[kept].tobytes()
+            assert not np.array_equal(S3.data[index[nid]], S.data[index[nid]])
 
 
 class TestLayoutHelpers:

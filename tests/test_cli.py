@@ -193,7 +193,7 @@ class TestBenchCommand:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "30"
-        # every head allocates each real cell, padding adds more
+        # every head allocates each real cell, and no padded one
         header = lines[0].split(",")
         row = dict(zip(header, first))
         assert int(row["allocated_cells"]) >= 2 * int(row["attention_cells"])

@@ -63,7 +63,7 @@ def np_params(params):
 
 def one_parent(H):
     """``bottom_up_step`` blocks for the children rows ``H`` of one parent."""
-    return [(len(H), np.array([len(H)]))]
+    return [(len(H), 1)]
 
 
 # --- independent oracles (plain numpy, no shared attention helpers) ---------
@@ -198,7 +198,7 @@ class TestMultiHeadAttention:
         outs = [
             multi_head_attention(
                 constant(rng.standard_normal((1, cfg.d))), constant(kv), constant(kv),
-                blocks=[(1, 1, [1])], **args,
+                blocks=[(1, 1, 1)], **args,
             ).data
             for _ in range(3)
         ]
@@ -215,7 +215,7 @@ class TestMultiHeadAttention:
         kv = np.stack([row] * 5)
         q = rng.standard_normal((2, cfg.d))
         out = multi_head_attention(
-            constant(q), constant(kv), constant(kv), blocks=[(2, 5, [5])],
+            constant(q), constant(kv), constant(kv), blocks=[(2, 5, 1)],
             **_mha_args(params, "up.par", cfg, math.sqrt(cfg.d_head)),
         ).data
         expected = row @ params["up.par.wv"].data @ params["up.par.wo"].data
@@ -229,7 +229,7 @@ class TestMultiHeadAttention:
         kv = rng.standard_normal((3, cfg.d))
         denom = math.sqrt(cfg.d_head)
         got = multi_head_attention(
-            constant(q), constant(kv), constant(kv), blocks=[(2, 3, [3])],
+            constant(q), constant(kv), constant(kv), blocks=[(2, 3, 1)],
             **_mha_args(params, "up.par", cfg, denom),
         ).data
         p = np_params(params)
@@ -273,13 +273,6 @@ class TestFraternalAttention:
             weights.append(out @ np.linalg.pinv(H))  # out = W @ H, same W expected
         np.testing.assert_allclose(weights[0], weights[1], atol=1e-8)
 
-    def test_branching_overflow(self):
-        cfg = small_config(max_children=3)
-        params = init_params(cfg, seed=9)
-        with pytest.raises(BranchingOverflow):
-            H = np.zeros((4, cfg.d))
-            fraternal_attention(constant(H), one_parent(H), params, cfg)
-
 
 class TestBottomUpStep:
     def test_leaf_identity_no_step(self):
@@ -321,24 +314,27 @@ class TestBottomUpStep:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     @pytest.mark.parametrize(
+        "flags", [{}, {"use_fraternal_attention": False}], ids=["frat", "nofrat"]
+    )
+    def test_branching_overflow(self, flags):
+        cfg = small_config(max_children=3, **flags)
+        params = init_params(cfg, seed=9)
+        e, H = np.zeros((1, cfg.d)), np.zeros((4, cfg.d))
+        with pytest.raises(BranchingOverflow, match="4 children exceed max_children=3"):
+            bottom_up_step(constant(e), constant(H), one_parent(H), params, cfg)
+
+    @pytest.mark.parametrize(
         "flags", [{}, {"use_fraternal_attention": False, "pe_before_parental": True}]
     )
     def test_level_of_blocks_matches_per_parent_calls(self, flags):
-        """One call over blocks of different widths, with padding, equals one call per parent."""
+        """One call over blocks of different widths equals one call per parent."""
         cfg = small_config(**flags)
         params = init_params(cfg, seed=15)
         rng = np.random.default_rng(9)
-        counts = [[2, 1, 2], [4, 3], [1]]  # children per parent, one list per block
-        e = rng.standard_normal((6, cfg.d))
-        kids = [[rng.standard_normal((c, cfg.d)) for c in block] for block in counts]
-        rows, blocks = [], []
-        for block in kids:
-            w = max(len(k) for k in block)
-            for k in block:
-                rows += [k, np.zeros((w - len(k), cfg.d))]
-            blocks.append((w, np.array([len(k) for k in block])))
-        got = bottom_up_step(constant(e), constant(np.concatenate(rows)), blocks, params, cfg).data
-        alone = [k for block in kids for k in block]
+        widths = [(1, 1), (2, 2), (4, 2)]  # (children per parent, parents) per block
+        e = rng.standard_normal((5, cfg.d))
+        alone = [rng.standard_normal((w, cfg.d)) for w, n in widths for _ in range(n)]
+        got = bottom_up_step(constant(e), constant(np.concatenate(alone)), widths, params, cfg).data
         for i, k in enumerate(alone):
             want = bottom_up_step(constant(e[i : i + 1]), constant(k), one_parent(k), params, cfg)
             assert np.abs(got[i] - want.data[0]).max() <= 1e-10

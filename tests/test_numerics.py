@@ -295,23 +295,22 @@ def test_shared_weight_matmul_gradients(a_shape, transposed, weight_3d):
 
 
 ATTN_D, ATTN_HEADS, ATTN_POS = 6, 2, 5
-# two blocks of different widths, two groups each; masked, each block's second
-# group has one real key slot fewer
+# two blocks of different widths, two groups each
 ATTN_WIDTHS = (4, 3)
 
 
-def _attention_blocks(call, masked):
+def _attention_blocks(call):
     nq = {"parental": lambda w: 1}.get(call, lambda w: w)
-    return [(nq(w), w, [w, w - 1] if masked else [w, w]) for w in ATTN_WIDTHS]
+    return [(nq(w), w, 2) for w in ATTN_WIDTHS]
 
 
-def _attention_inputs(call, masked, positioned, rng):
+def _attention_inputs(call, positioned, rng):
     """Parameters and the attention call for one case. ``fraternal``: a group's
     queries, keys and values are ``w`` rows each; ``parental``: one query row
     against ``w`` key and value rows; ``self``: one tensor as all three."""
-    blocks = _attention_blocks(call, masked)
-    rq = sum(len(c) * nq for nq, _, c in blocks)
-    rk = sum(len(c) * nk for _, nk, c in blocks)
+    blocks = _attention_blocks(call)
+    rq = sum(n * nq for nq, _, n in blocks)
+    rk = sum(n * nk for _, nk, n in blocks)
     params = ParamStore("float64")
     params.add_param("q", rng.standard_normal((rq, ATTN_D)))
     if call != "self":
@@ -329,30 +328,30 @@ def _attention_inputs(call, masked, positioned, rng):
 
 
 @pytest.mark.parametrize("positioned", [False, True], ids=["nopos", "pos"])
-@pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
 @pytest.mark.parametrize("call", ["fraternal", "parental", "self"])
-def test_attention_gradients(call, masked, positioned):
+def test_attention_gradients(call, positioned):
     """The fused op's analytic gradients match central differences.
 
     A step of 1e-5, not the primitives' 1e-6: the position gradient sums
     softmax derivatives that cancel, and at 1e-6 the differences' rounding
     alone reaches 1.6e-6 on one case (1e-4: 1.4e-9, 1e-5: 5.3e-8).
     """
-    rng = np.random.default_rng(zlib.crc32(f"{call}{masked}{positioned}".encode()))
-    params, run = _attention_inputs(call, masked, positioned, rng)
+    # "False" named the unmasked case of a mask axis the op no longer has;
+    # it keeps each case on the inputs its bound was set with
+    rng = np.random.default_rng(zlib.crc32(f"{call}False{positioned}".encode()))
+    params, run = _attention_inputs(call, positioned, rng)
     weights = constant(rng.standard_normal(run(params).shape))
     assert grad_check(lambda p: nm.sum_all(nm.mul(run(p), weights)), params, eps=1e-5) < 1e-6
 
 
 def test_attention_equals_separate_ops():
     """Bit-identical to, per block, heads split, scores scaled, position corner
-    and mask added, softmax, mix and heads merged as separate ops."""
+    added, softmax, mix and heads merged as separate ops."""
     rng = np.random.default_rng(3)
-    params, run = _attention_inputs("fraternal", True, True, rng)
+    params, run = _attention_inputs("fraternal", True, rng)
     dh = ATTN_D // ATTN_HEADS
     pieces, start = [], 0
-    for nq, n, counts in _attention_blocks("fraternal", True):
-        B = len(counts)
+    for _, n, B in _attention_blocks("fraternal"):
         rows = np.arange(start, start + B * n)
         start += B * n
 
@@ -362,10 +361,9 @@ def test_attention_equals_separate_ops():
 
         corner = nm.gather_rows(params["pos"], np.arange(n))
         corner = nm.transpose(nm.gather_rows(nm.transpose(corner, (1, 0)), np.arange(n)), (1, 0))
-        mask = ((np.arange(n) >= np.array(counts)[:, None]) * nm.MASK_FILL)[:, None, None, :]
         kt = nm.transpose(split(params["k"]), (0, 1, 3, 2))
         scores = nm.add(nm.scale(matmul(split(params["q"]), kt), 1.0 / 1.7), corner)
-        mixed = matmul(softmax(nm.add(scores, constant(mask))), split(params["v"]))
+        mixed = matmul(softmax(scores), split(params["v"]))
         pieces.append(nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (B * n, ATTN_D)))
     want = nm.concat(pieces)
     assert run(params).data.tobytes() == want.data.tobytes()
@@ -376,20 +374,20 @@ def test_attention_blocks_equal_one_call_per_block(call):
     """One call over several blocks returns, bit for bit, the values and
     gradients of one call per block."""
     rng = np.random.default_rng(6)
-    params, run = _attention_inputs(call, True, True, rng)
+    params, run = _attention_inputs(call, True, rng)
     seed = rng.standard_normal(run(params).shape)
     backward(run(params), seed)
     together = {name: params[name].grad.copy() for name in params.names()}
     together_out = run(params).data
     params.zero_grads()
     outs, rq, rk = [], 0, 0
-    for nq, nk, counts in _attention_blocks(call, True):
-        qrows = np.arange(rq, rq + len(counts) * nq)
-        krows = np.arange(rk, rk + len(counts) * nk)
+    for nq, nk, n in _attention_blocks(call):
+        qrows = np.arange(rq, rq + n * nq)
+        krows = np.arange(rk, rk + n * nk)
         rq, rk = qrows[-1] + 1, krows[-1] + 1
         out = nm.attention(
             nm.gather_rows(params["q"], qrows), nm.gather_rows(params["k"], krows),
-            nm.gather_rows(params["v"], krows), ATTN_HEADS, 1.7, [(nq, nk, counts)],
+            nm.gather_rows(params["v"], krows), ATTN_HEADS, 1.7, [(nq, nk, n)],
             pos_scores=params["pos"],
         )
         backward(out, seed[qrows])
@@ -400,43 +398,21 @@ def test_attention_blocks_equal_one_call_per_block(call):
 
 
 def test_attention_rejects_blocks_that_miss_rows():
-    params, run = _attention_inputs("fraternal", True, True, np.random.default_rng(7))
-    blocks = _attention_blocks("fraternal", True)
+    params, run = _attention_inputs("fraternal", True, np.random.default_rng(7))
+    blocks = _attention_blocks("fraternal")
     with pytest.raises(ShapeError, match="cover"):
         run(params, blocks[:1])  # too few query and key rows
     with pytest.raises(ShapeError, match="cover"):  # the queries fit, the keys do not
-        run(params, [(4, 4, [4, 4]), (2, 3, [1, 1, 1])])
+        run(params, [(4, 4, 2), (2, 3, 3)])
     with pytest.raises(ShapeError, match="narrower"):
-        run(params, [(7, 7, [7, 7])])  # 14 rows, a block wider than the table
+        run(params, [(7, 7, 2)])  # 14 rows, a block wider than the table
 
 
 def test_attention_nan_query_named():
-    params, run = _attention_inputs("parental", False, False, np.random.default_rng(4))
+    params, run = _attention_inputs("parental", False, np.random.default_rng(4))
     params["q"].data[0, 2] = np.nan
     with pytest.raises(NonFiniteError, match="attention"):
         run(params)
-
-
-def test_attention_masked_slots_get_zero_gradient():
-    """Keys and values in masked slots take exactly no gradient, also when
-    they hold large values."""
-    rng = np.random.default_rng(5)
-    for call in ("fraternal", "parental"):
-        params, run = _attention_inputs(call, True, True, rng)
-        pad, start = [], 0
-        for _, nk, counts in _attention_blocks(call, True):
-            for c in counts:
-                pad += range(start + c, start + nk)
-                start += nk
-        assert pad
-        params["k"].data[pad] = 1e3
-        params["v"].data[pad] = -1e3
-        out = run(params)
-        backward(out, rng.standard_normal(out.shape))
-        real = np.setdiff1d(np.arange(start), pad)
-        for name in ("k", "v"):
-            assert not params[name].grad[pad].any()
-            assert params[name].grad[real].all()
 
 
 class TestNoGrad:

@@ -77,11 +77,21 @@ class TestBuildSchedule:
             steps = len(schedule.bottom_up_levels) + len(schedule.top_down_levels)
             assert steps == 2 * (max(depth(t) for t in batch) - 1)
 
-    def test_power_of_two_bucket_widths(self):
-        tree = star(5)
-        schedule = build_schedule([tree])
+    def test_exact_bucket_widths(self):
+        schedule = build_schedule([star(5)])
         widths = [b.child_rows.shape[1] for g in schedule.bottom_up_levels for b in g.buckets]
-        assert widths == [8]
+        assert widths == [5]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            batch = mixed_forest(rng)
+            schedule = build_schedule(batch)
+            at = node_at(schedule)
+            for group in schedule.bottom_up_levels:
+                for bucket in group.buckets:
+                    w = bucket.child_rows.shape[1]
+                    for row in bucket.parents:
+                        t, nid = at[int(row)]
+                        assert len(batch[t].node(nid).children) == w
 
     def test_row_index_is_ids_ascending_on_consecutive_rows(self):
         rng = np.random.default_rng(4)
@@ -104,9 +114,7 @@ class TestBuildSchedule:
             for level, group in enumerate(schedule.top_down_levels, start=2):
                 (bucket,) = group.buckets
                 got = produced(schedule, group, top_down=True)
-                assert bucket.child_rows.shape == bucket.mask.shape == (len(got), 1)
-                assert np.all(bucket.mask == 1.0)
-                assert np.all(bucket.child_counts == 1)
+                assert bucket.child_rows.shape == (len(got), 1)
                 expected = sorted(
                     (t, nid)
                     for t, tree in enumerate(batch)
@@ -166,38 +174,20 @@ class TestCheckSchedule:
         with pytest.raises(DependencyViolation):
             check_schedule(truncated, batch)
 
-    def test_bad_mask_rejected(self):
+    def test_bucket_wider_than_child_count_rejected(self):
         batch = [star(3)]
-        schedule = build_schedule(batch)
-        group = schedule.bottom_up_levels[0]
-        bucket = group.buckets[0]
-        bad_mask = bucket.mask.copy()
-        bad_mask[0, 0] = 0.0
-        bad_bucket = Bucket(bucket.parents, bucket.child_rows, bad_mask, bucket.child_counts)
-        tampered = Schedule(
-            bottom_up_levels=[Group([bad_bucket])],
-            top_down_levels=schedule.top_down_levels,
-            row_index=schedule.row_index,
-            n_rows=schedule.n_rows,
-        )
-        with pytest.raises(DependencyViolation):
-            check_schedule(tampered, batch)
-
-    def test_unmasked_padding_rejected(self):
-        batch = [star(3)]  # three children in a width-4 bucket
         schedule = build_schedule(batch)
         (level,) = schedule.bottom_up_levels
         (bucket,) = level.buckets
-        tampered = [_tamper_bucket(level, mask=np.ones_like(bucket.mask))]
-        with pytest.raises(DependencyViolation, match="padding slot unmasked"):
+        wider = np.pad(bucket.child_rows, ((0, 0), (0, 1)))  # one column more: row 0, the root
+        tampered = [_tamper_bucket(level, child_rows=wider)]
+        with pytest.raises(DependencyViolation, match="bucket width is not the child count"):
             check_schedule(replace(schedule, bottom_up_levels=tampered), batch)
 
     def test_extra_empty_level_rejected(self):
         batch = [chain(3)]
         schedule = build_schedule(batch)
-        empty = Bucket(
-            np.zeros(0, np.intp), np.zeros((0, 1), np.intp), np.zeros((0, 1)), np.zeros(0, np.intp)
-        )
+        empty = Bucket(np.zeros(0, np.intp), np.zeros((0, 1), np.intp))
         tampered = replace(
             schedule, top_down_levels=[*schedule.top_down_levels, Group([empty])]
         )
@@ -208,7 +198,7 @@ class TestCheckSchedule:
         batch = [make_tree({0: [1, 2], 1: [3, 4, 5], 2: [6]}), star(3)]
         schedule = build_schedule(batch)
         levels = list(schedule.bottom_up_levels)
-        bucket = levels[0].buckets[-1]  # width 4: node 1 of tree 0, then tree 1's root
+        bucket = levels[0].buckets[-1]  # width 3: node 1 of tree 0, then tree 1's root
         wrong = bucket.child_rows.copy()
         wrong[0, [0, 1]] = wrong[0, [1, 0]]  # two siblings swapped
         levels[0] = _tamper_bucket(levels[0], len(levels[0].buckets) - 1, child_rows=wrong)
@@ -225,8 +215,6 @@ class TestCheckSchedule:
             levels[0],
             parents=bucket.parents[twice],
             child_rows=bucket.child_rows[twice],
-            mask=bucket.mask[twice],
-            child_counts=bucket.child_counts[twice],
         )
         with pytest.raises(DependencyViolation, match="scheduled twice in bottom-up order"):
             check_schedule(replace(schedule, bottom_up_levels=levels), batch)
@@ -268,15 +256,12 @@ class TestCheckTopDown:
         moved = schedule.row_index[1][2]  # a leaf of the star, at depth 2
         assert b2.child_rows[-1, 0] == moved
         levels[0] = _tamper_bucket(
-            levels[0], parents=b2.parents[:-1], child_rows=b2.child_rows[:-1],
-            mask=b2.mask[:-1], child_counts=b2.child_counts[:-1],
+            levels[0], parents=b2.parents[:-1], child_rows=b2.child_rows[:-1]
         )
         levels[1] = _tamper_bucket(
             levels[1],
             parents=np.append(b3.parents, b2.parents[-1]),
             child_rows=np.vstack([b3.child_rows, b2.child_rows[-1:]]),
-            mask=np.vstack([b3.mask, b2.mask[-1:]]),
-            child_counts=np.append(b3.child_counts, 1),
         )
         with pytest.raises(DependencyViolation, match="tree 1, node 2: parent 0 not computed by"):
             check_schedule(replace(schedule, top_down_levels=levels), batch)
@@ -295,8 +280,6 @@ class TestCheckTopDown:
             levels[1],
             parents=bucket.parents[1:],
             child_rows=bucket.child_rows[1:],
-            mask=bucket.mask[1:],
-            child_counts=bucket.child_counts[1:],
         )
         with pytest.raises(DependencyViolation, match="never scheduled"):
             check_schedule(replace(schedule, top_down_levels=levels), batch)
@@ -310,8 +293,6 @@ class TestCheckTopDown:
             levels[1],
             parents=bucket.parents[twice],
             child_rows=bucket.child_rows[twice],
-            mask=bucket.mask[twice],
-            child_counts=bucket.child_counts[twice],
         )
         with pytest.raises(DependencyViolation, match="scheduled twice in top-down order"):
             check_schedule(replace(schedule, top_down_levels=levels), batch)
@@ -330,11 +311,8 @@ class TestCheckTopDown:
         batch, schedule = self._schedule()
         levels = list(schedule.top_down_levels)
         (bucket,) = levels[0].buckets
-        levels[0] = _tamper_bucket(
-            levels[0],
-            child_rows=np.pad(bucket.child_rows, ((0, 0), (0, 1))),
-            mask=np.pad(bucket.mask, ((0, 0), (0, 1))),
-        )
+        wider = np.pad(bucket.child_rows, ((0, 0), (0, 1)))
+        levels[0] = _tamper_bucket(levels[0], child_rows=wider)
         with pytest.raises(DependencyViolation, match="width-1"):
             check_schedule(replace(schedule, top_down_levels=levels), batch)
 
@@ -345,8 +323,8 @@ class TestCostReport:
         report = cost_report(build_schedule([star(k)]), heads=3)
         assert report.attention_cells == k * k
         assert report.full_attention_cells == (k + 1) ** 2
-        # one parent padded to 8 slots
-        assert report.allocated_cells == report.peak_cells == 3 * 8 * 8
+        # one parent of 7 children, no padded slot
+        assert report.allocated_cells == report.peak_cells == 3 * 7 * 7
 
     def test_chain_closed_form(self):
         n = 9
