@@ -55,10 +55,7 @@ def _read_children(
 
 
 def batch_state_tensors(
-    trees: list[SyntaxTree],
-    params: ParamStore,
-    config: ModelConfig,
-    schedule: Schedule | None = None,
+    trees: list[SyntaxTree], params: ParamStore, config: ModelConfig
 ) -> tuple[Tensor, Tensor, Tensor, Schedule]:
     """Embed and propagate a batch; returns (X, S_up, S_down, schedule).
 
@@ -66,8 +63,7 @@ def batch_state_tensors(
     Raises NonFiniteError naming the pass, tree and node if a returned state
     holds NaN or Inf.
     """
-    if schedule is None:
-        schedule = build_schedule(trees)
+    schedule = build_schedule(trees)
     arrays = tree_arrays(trees)
     X = embed_rows(
         params,
@@ -118,13 +114,10 @@ def batch_state_tensors(
 
 
 def encode_batch(
-    trees: list[SyntaxTree],
-    params: ParamStore,
-    config: ModelConfig,
-    schedule: Schedule | None = None,
+    trees: list[SyntaxTree], params: ParamStore, config: ModelConfig
 ) -> list[NodeStates]:
     """Per-tree NodeStates via the level-synchronous schedule."""
-    _, S, D, schedule = batch_state_tensors(trees, params, config, schedule)
+    _, S, D, schedule = batch_state_tensors(trees, params, config)
     out = []
     for t, tree in enumerate(trees):
         index = schedule.row_index[t]

@@ -35,7 +35,6 @@ from .numerics import (
     Tensor,
     add,
     attention,
-    broadcast_add_row,
     concat,
     gather_rows,
     layer_norm,
@@ -325,13 +324,12 @@ def top_down_step(
 ) -> Tensor:
     """Children's final states from the parent's final state; purely row-wise.
 
-    Takes one parent row per block of children (``[..., 1, d]`` against
-    ``[..., n, d]``) or, as the batched path does, flat ``[n, d]`` parent rows
-    aligned with ``[n, d]`` child rows.
+    ``h_parent_down`` is added to ``H_children_up`` ``[n, d]``: flat ``[n, d]``
+    parent rows aligned with the children, as the batched path passes, or one
+    ``[1, d]`` row broadcast over a node's children, as the naive recursion
+    passes.
     """
-    mixed = _ln(
-        broadcast_add_row(H_children_up, h_parent_down), params, "down.ln_in", config
-    )
+    mixed = _ln(add(H_children_up, h_parent_down), params, "down.ln_in", config)
     return _ln(add(_ffn(mixed, params, "down.ffn"), mixed), params, "down.ln_out", config)
 
 

@@ -65,21 +65,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def constant(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=False, dtype=dtype)
@@ -137,16 +122,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
-
-    return _make(data, (a, b), bw)
-
-
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     return _make(-a.data, (a,), lambda g: (-g,))
@@ -174,23 +149,10 @@ def scale(a, c: float) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batch-dimension broadcasting.
 
-    A batched ``a`` against a 2-D ``b`` (a shared weight) runs as one flat
-    ``[N, k] @ [k, h]`` product, forward and backward: numpy would otherwise
-    compute one small product per batch entry. The flat product may round a
-    row differently by its position in the block, so a product whose equal
-    rows must give equal results broadcasts ``b`` as 3-D instead.
+    numpy runs a batched product as one small product per batch entry, so a
+    shared weight is best applied to flat ``[N, k]`` rows.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if b.data.ndim == 2 and a.data.ndim > 2:
-        shape = a.data.shape
-        flat = a.data.reshape(-1, shape[-1])
-        data = (flat @ b.data).reshape(shape[:-1] + (b.data.shape[1],))
-
-        def bw(g):
-            g = g.reshape(-1, g.shape[-1])
-            return (g @ b.data.T).reshape(shape), flat.T @ g
-
-        return _make(data, (a, b), bw)
     data = np.matmul(a.data, b.data)
 
     def bw(g):
@@ -468,16 +430,6 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def linear(x, w, b=None) -> Tensor:
     out = matmul(x, w)
     return out if b is None else add(out, b)
-
-
-def broadcast_add_row(m, v) -> Tensor:
-    """Add one row vector to every row of a matrix (or batch of matrices)."""
-    m, v = _as_tensor(m), _as_tensor(v)
-    if m.data.shape[-1] != v.data.shape[-1]:
-        raise ShapeError(
-            f"row width {v.data.shape[-1]} does not match matrix width {m.data.shape[-1]}"
-        )
-    return add(m, v)
 
 
 def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:

@@ -10,8 +10,9 @@ one node and its parent.
 
 A plan is built from each tree's cached index arrays (``trees.tree_arrays``):
 the batch concatenates them with row offsets and sorts once per direction,
-bottom-up by (height, child count, tree, reversed preorder), top-down by
-(depth, tree, breadth-first order).
+bottom-up by (height, child count, row), top-down by (depth, row). Within a
+level every node's update reads only the levels before it, so the order of
+a level's rows changes no state.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ class Bucket:
 
     Bottom-up, row ``b`` holds the ``w`` children of ``parents[b]``, where
     ``w = child_rows.shape[1]`` is every parent's exact child count. A level's
-    buckets come in increasing width; rows within a bucket follow tree order,
-    then reversed preorder within a tree. Top-down, the width is 1 and row
-    ``b`` is one child, ``child_rows[b, 0]``, and its parent, in tree order,
-    then breadth-first order within a tree.
+    buckets come in increasing width, and ``parents`` ascends within a bucket.
+    Top-down, the width is 1 and row ``b`` is one child, ``child_rows[b, 0]``,
+    and its parent; the children's rows ascend.
     """
 
     parents: np.ndarray  # [B] global rows of the parent nodes
@@ -103,11 +103,10 @@ def build_schedule(batch: list[SyntaxTree]) -> Schedule:
         for a, o in zip(arrays, offsets)
     ]
 
-    # bottom-up: inner nodes sorted by (height, child count, tree, reversed preorder)
+    # bottom-up: inner nodes sorted by (height, child count, row)
     inner = np.flatnonzero(height)
     width = counts[inner]
-    up_key = (base + cat("up_rank"))[inner]
-    order = np.lexsort((up_key, width, height[inner]))
+    order = np.lexsort((width, height[inner]))  # stable: rows stay ascending
     rows, row_width = inner[order], width[order]
     bottom_up = []
     for lo, hi in _runs(height[rows]):
@@ -119,11 +118,9 @@ def build_schedule(batch: list[SyntaxTree]) -> Schedule:
             buckets.append(Bucket(parents, child_idx[ptr[parents][:, None] + slot]))
         bottom_up.append(Group(buckets))
 
-    # top-down: non-roots sorted by (depth, tree, breadth-first order), one
-    # width-1 bucket per depth
+    # top-down: non-roots sorted by (depth, row), one width-1 bucket per depth
     nonroot = np.flatnonzero(depth > 1)
-    down_key = (base + cat("down_rank"))[nonroot]
-    rows = nonroot[np.lexsort((down_key, depth[nonroot]))]
+    rows = nonroot[np.argsort(depth[nonroot], kind="stable")]
     top_down = []
     for lo, hi in _runs(depth[rows]):
         kids = rows[lo:hi]

@@ -272,10 +272,10 @@ def pooled_rows(D: Tensor, schedule: Schedule, params: ParamStore) -> Tensor:
     widths = [len(index) for index in schedule.row_index]
     idx, fill = _padded_slots(widths, np.arange(schedule.n_rows), D.dtype)
     (b, width), d = idx.shape, D.shape[1]
-    rows = reshape(gather_rows(D, idx.reshape(-1)), (b, width, d))
+    rows = gather_rows(D, idx.reshape(-1))
     gates = add(reshape(matmul(rows, params["pool.gate"]), (b, width)), constant(fill))
     weights = reshape(softmax(gates), (b, 1, width))
-    return reshape(matmul(weights, rows), (b, d))
+    return reshape(matmul(weights, reshape(rows, (b, width, d))), (b, d))
 
 
 def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -> TaskForward:
@@ -298,10 +298,8 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
         crows = gather_rows(D, slots.reshape(-1))
         # one dot per candidate: a flat [rows, d] @ [d, 1] product rounds by
         # row position, which would give equal-content candidates unequal
-        # logits, so the weight goes in as [1, d, 1] to stay off matmul's
-        # flat path for 2-D weights
-        w = reshape(params["head.pointer.w"], (1, d, 1))
-        scores = matmul(reshape(crows, (b * width, 1, d)), w)
+        # logits, so each candidate runs as its own [1, d] @ [d, 1] product
+        scores = matmul(reshape(crows, (b * width, 1, d)), params["head.pointer.w"])
         pointer = add(reshape(scores, (b, width)), constant(fill))
         repair = linear(crows, params["head.repair.w"], params["head.repair.b"])
         targets = np.array([c.index(r.target_node) for c, r in zip(cands, batch)], dtype=np.intp)
@@ -428,10 +426,7 @@ def evaluate(checkpoint, corpus: Corpus, predictions_path=None, batch_size: int 
         raise ValueError(f"model head is {cfg.task!r} but corpus task is {corpus.task!r}")
     metrics, predictions = _evaluate_params(params, cfg, corpus, batch_size)
     if predictions_path:
-        _write_text(
-            predictions_path,
-            "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in predictions),
-        )
+        _write_predictions(predictions_path, predictions)
     return metrics
 
 
@@ -450,6 +445,10 @@ class TrainResult:
 
 def _write_text(path, text: str) -> None:
     _replace_atomically(os.fspath(path), text.encode("utf-8"))
+
+
+def _write_predictions(path, rows: list[dict]) -> None:
+    _write_text(path, "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
 
 
 def _json_text(obj) -> str:
@@ -484,8 +483,13 @@ def train(
     """Train on ``corpus``; deterministic given (config, corpus) in one precision."""
     if corpus.task != config.task:
         raise ValueError(f"corpus task {corpus.task!r} != config task {config.task!r}")
-    if eval_corpus is not None and eval_corpus.vocab.digest() != corpus.vocab.digest():
-        raise DigestMismatch("train and eval corpora carry different vocabularies")
+    if eval_corpus is not None:
+        if eval_corpus.vocab.digest() != corpus.vocab.digest():
+            raise DigestMismatch("train and eval corpora carry different vocabularies")
+        if eval_corpus.task != corpus.task:
+            raise ValueError(
+                f"eval corpus task {eval_corpus.task!r} != train corpus task {corpus.task!r}"
+            )
 
     cfg = model_config_for(config, corpus)
     params = init_params(cfg, seed=config.seed, dtype=config.precision)
@@ -513,6 +517,7 @@ def train(
     history: list[dict] = []
     step = 0
     final_eval: Metrics | None = None
+    predictions: list[dict] | None = None  # the prediction rows of final_eval
     checkpoint_path = None
 
     def save(params, tag="checkpoint"):
@@ -551,7 +556,9 @@ def train(
         epochs_run = epoch
         row = {"epoch": epoch, "train_loss": epoch_loss / max(epoch_items, 1)}
         if eval_corpus is not None:
-            final_eval, _ = _evaluate_params(params, cfg, eval_corpus, config.batch_size)
+            final_eval, predictions = _evaluate_params(
+                params, cfg, eval_corpus, config.batch_size
+            )
             for key, value in final_eval.to_dict().items():
                 if key not in ("task", "samples"):
                     row[f"eval_{key}"] = value
@@ -570,12 +577,11 @@ def train(
         writer.writerows(history)
         _write_text(os.path.join(out_dir, "metrics.csv"), text.getvalue())
         if eval_corpus is not None:
-            final_eval = evaluate(
-                (params, cfg),
-                eval_corpus,
-                predictions_path=os.path.join(out_dir, "predictions.jsonl"),
-                batch_size=config.batch_size,
-            )
+            if predictions is None:  # no epoch ran, so none scored the final parameters
+                final_eval, predictions = _evaluate_params(
+                    params, cfg, eval_corpus, config.batch_size
+                )
+            _write_predictions(os.path.join(out_dir, "predictions.jsonl"), predictions)
         summary = {
             "epochs_run": epochs_run,
             "steps": step,

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .numerics import _replace_atomically
 
 UNKNOWN = "<unk>"
 
@@ -165,8 +168,7 @@ class TreeArrays(NamedTuple):
     """A tree's structure as int arrays, one entry per row.
 
     Row ``i`` is the node with the ``i``-th smallest id, the layout a batch
-    gives each tree. ``up_rank`` and ``down_rank`` fix the order of a tree's
-    nodes within one bottom-up (height) or top-down (depth) level.
+    gives each tree; a schedule keeps this row order within each level.
     """
 
     ids: np.ndarray  # node id per row, ascending
@@ -177,8 +179,6 @@ class TreeArrays(NamedTuple):
     depth: np.ndarray  # 1 at the root
     type_id: np.ndarray
     token_plus1: np.ndarray  # 0 is NO-TOKEN
-    up_rank: np.ndarray  # position in reversed preorder
-    down_rank: np.ndarray  # position in breadth-first order
     label: np.ndarray  # node label; -1 where node_labels has none
 
 
@@ -257,28 +257,15 @@ def _compute_arrays(trees: Sequence[SyntaxTree]) -> list[TreeArrays]:
     for level, f in enumerate(frontiers, start=1):
         depth[f] = level
 
-    # per parent with children: the start of its block in the next frontier
-    blocks = []
-    for f in frontiers[:-1]:
+    # heights from the deepest frontier up: each parent with children maxes
+    # over its block of the next frontier
+    height = np.zeros(n, dtype=np.intp)
+    for f, kids in reversed(list(zip(frontiers[:-1], frontiers[1:]))):
         p = f[counts[f] > 0]
         c = counts[p]
-        blocks.append((p, c, np.cumsum(c) - c))
-    height = np.zeros(n, dtype=np.intp)
-    size = np.ones(n, dtype=np.intp)
-    for (p, _, starts), kids in reversed(list(zip(blocks, frontiers[1:]))):
-        height[p] = 1 + np.maximum.reduceat(height[kids], starts)
-        size[p] = 1 + np.add.reduceat(size[kids], starts)
-    pre = np.zeros(n, dtype=np.intp)  # preorder position within the tree
-    for (p, c, starts), kids in zip(blocks, frontiers[1:]):
-        before = np.cumsum(size[kids]) - size[kids]  # subtree sizes of earlier kids
-        pre[kids] = np.repeat(pre[p] - before[starts] + 1, c) + before
+        height[p] = 1 + np.maximum.reduceat(height[kids], np.cumsum(c) - c)
 
     tree_of = np.repeat(np.arange(len(trees)), sizes)
-    bfs = np.concatenate(frontiers)
-    by_tree = bfs[np.argsort(tree_of[bfs], kind="stable")]
-    down_rank = np.empty(n, dtype=np.intp)
-    down_rank[by_tree] = np.arange(n) - offsets[tree_of[by_tree]]
-    up_rank = sizes[tree_of] - 1 - pre
     parent = np.full(n, -1, dtype=np.intp)
     parent[idx] = np.repeat(np.arange(n), counts) - offsets[tree_of[idx]]
 
@@ -292,8 +279,6 @@ def _compute_arrays(trees: Sequence[SyntaxTree]) -> list[TreeArrays]:
             depth=depth[offsets[t] : offsets[t + 1]],
             type_id=type_id[t],
             token_plus1=token_plus1[t],
-            up_rank=up_rank[offsets[t] : offsets[t + 1]],
-            down_rank=down_rank[offsets[t] : offsets[t + 1]],
             label=label[t],
         )
         for t in range(len(trees))
@@ -470,11 +455,13 @@ def tree_from_obj(obj: dict, vocab: Vocabulary, line: int | None = None) -> Synt
 
 
 def save_trees(trees: Iterable[SyntaxTree], path, vocab: Vocabulary) -> None:
-    """Write trees as canonical JSON lines (UTF-8, one tree per line)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write(tree_to_line(tree, vocab))
-            fh.write("\n")
+    """Write trees as canonical JSON lines (UTF-8, one tree per line).
+
+    The file is written to a temporary name and renamed into place, so a
+    failure leaves any old file whole.
+    """
+    text = "".join(tree_to_line(tree, vocab) + "\n" for tree in trees)
+    _replace_atomically(os.fspath(path), text.encode("utf-8"))
 
 
 def iter_tree_lines(path, vocab: Vocabulary) -> Iterator[SyntaxTree]:

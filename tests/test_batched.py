@@ -193,13 +193,3 @@ class TestLayoutHelpers:
         after = pooled_rows(constant(D), schedule, params).data
         assert after[1].tobytes() == before[1].tobytes()
         assert np.abs(after[0] - before[0]).max() > 1.0
-
-    def test_schedule_reuse(self):
-        cfg = config()
-        params = init_params(cfg, seed=9)
-        trees = [chain(3), chain(5)]
-        schedule = build_schedule(trees)
-        a = encode_batch(trees, params, cfg, schedule=schedule)
-        b = encode_batch(trees, params, cfg)
-        for x, y in zip(a, b):
-            assert max_state_diff(x, y) == 0.0

@@ -32,7 +32,6 @@ from treeformer.trees import (
     heights,
     iter_tree_lines,
     load_trees,
-    preorder,
     random_tree,
     save_trees,
     tree_arrays,
@@ -68,14 +67,6 @@ def forests(max_nodes=300):
     return st.lists(trees(max_nodes), min_size=1, max_size=8)
 
 
-def bfs_order(tree):
-    order, frontier = [], [tree.root]
-    while frontier:
-        order += frontier
-        frontier = [c for nid in frontier for c in tree.node(nid).children]
-    return order
-
-
 # derandomized and without an example database: every run checks the same forests
 SETTINGS = dict(
     deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
@@ -98,9 +89,6 @@ def test_schedule_passes_check_and_arrays_match_traversals(batch):
         h, dp = heights(tree), depths(tree)
         assert arrays.height.tolist() == [h[nid] for nid in ids]
         assert arrays.depth.tolist() == [dp[nid] for nid in ids]
-        up = list(reversed(preorder(tree)))
-        assert [ids[r] for r in np.argsort(arrays.up_rank)] == up
-        assert [ids[r] for r in np.argsort(arrays.down_rank)] == bfs_order(tree)
         for nid in ids:
             kids = arrays.child_idx[arrays.child_ptr[row[nid]] : arrays.child_ptr[row[nid] + 1]]
             assert [ids[k] for k in kids] == list(tree.node(nid).children)

@@ -127,6 +127,22 @@ class TestBuildSchedule:
                     assert bucket.parents[b] == schedule.row_index[t][parent]
             check_schedule(schedule, batch)
 
+    def test_levels_keep_batch_row_order(self):
+        # ids in neither preorder nor breadth-first order: depth 2 is 5, 2
+        shuffled = make_tree({0: [5, 2], 5: [1, 6], 2: [3, 4]})
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            batch = mixed_forest(rng) + [shuffled]
+            rng.shuffle(batch)
+            schedule = build_schedule(batch)
+            for group in schedule.bottom_up_levels:
+                for bucket in group.buckets:
+                    assert np.all(np.diff(bucket.parents) > 0)
+            for group in schedule.top_down_levels:
+                (bucket,) = group.buckets
+                assert np.all(np.diff(bucket.child_rows[:, 0]) > 0)
+            check_schedule(schedule, batch)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             build_schedule([])

@@ -196,6 +196,35 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="model head is 'classify'"):
             evaluate((result.params, result.model_config), wrongop_corpus())
 
+    def test_eval_corpus_task_mismatch_rejected_before_training(self, monkeypatch):
+        def no_forward(*_):
+            raise AssertionError("trained before checking the eval corpus")
+
+        monkeypatch.setattr(training, "task_forward", no_forward)
+        with pytest.raises(ValueError, match="'wrongop'.*'classify'"):
+            train(tiny_train_config(), classify_corpus(), eval_corpus=wrongop_corpus())
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_final_parameters_scored_once(self, tmp_path, monkeypatch, epochs):
+        """predictions.jsonl and summary.json come from the last epoch's eval
+        pass; only a run with no epoch scores the parameters after the loop."""
+        corpus = classify_corpus()
+        passes = []
+        scored = training._evaluate_params
+        monkeypatch.setattr(
+            training, "_evaluate_params", lambda *args: passes.append(1) or scored(*args)
+        )
+        config = tiny_train_config(epochs=epochs)
+        result = train(config, corpus, eval_corpus=corpus, out_dir=tmp_path)
+        assert len(passes) == max(epochs, 1)
+        again = tmp_path / "again.jsonl"
+        metrics = evaluate(
+            (result.params, result.model_config), corpus, again, batch_size=config.batch_size
+        )
+        assert (tmp_path / "predictions.jsonl").read_bytes() == again.read_bytes()
+        assert json.loads((tmp_path / "summary.json").read_text())["eval"] == metrics.to_dict()
+        assert result.final_eval == metrics
+
     def test_wrongop_loop_and_joint_bound(self):
         corpus = wrongop_corpus(programs=16)
         config = tiny_train_config(task="wrongop", epochs=2)

@@ -149,6 +149,28 @@ class TestSerialization:
         save_trees(load_trees(p1, VOCAB), p2, VOCAB)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("where", ["second tree", "fsync"])
+    def test_failed_save_leaves_old_file_whole(self, tmp_path, monkeypatch, where):
+        rng = np.random.default_rng(17)
+        trees = [self._random_labeled(rng, 30) for _ in range(3)]
+        path = tmp_path / "trees.jsonl"
+        save_trees(trees, path, VOCAB)
+        before = path.read_bytes()
+
+        def fail(*_):
+            raise OSError("injected write failure")
+
+        def failing_trees():
+            yield trees[1]
+            fail()
+
+        if where == "fsync":
+            monkeypatch.setattr("os.fsync", fail)
+        with pytest.raises(OSError, match="injected"):
+            save_trees(failing_trees() if where == "second tree" else trees[1:], path, VOCAB)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trees.jsonl"]
+
     def test_canonical_field_order(self):
         tree = make_tree({0: [1]}, types={0: 1}, tokens={1: 2}, label=3)
         line = tree_to_line(tree, VOCAB)
