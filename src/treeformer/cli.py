@@ -271,7 +271,7 @@ def _cmd_train(opts, args):
     summary = {
         "steps": result.steps,
         "epochs_run": len(result.history),
-        "final": result.history[-1] if result.history else None,
+        "final": result.history[-1],
         "checkpoint": result.checkpoint_path,
     }
     print(json.dumps(summary, sort_keys=True))

@@ -80,6 +80,9 @@ class ModelConfig:
     layer_norm_eps: float = 1e-5
 
     def __post_init__(self):
+        for name in ("d", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
         if self.d % 2 != 0:

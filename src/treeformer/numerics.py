@@ -95,6 +95,13 @@ def no_grad():
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], bw) -> Tensor:
+    """The op's output, recording ``bw`` and ``parents`` when any parent needs a gradient.
+
+    ``bw(g)`` returns one gradient per parent: an array, a :class:`RowGrad`
+    or None. It never returns an array it keeps (saved activations, its
+    inputs' data), because :func:`backward` may store a returned array as a
+    parent's ``.grad`` and add into it in place.
+    """
     out = Tensor(data)
     if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -432,8 +439,20 @@ def linear(x, w, b=None) -> Tensor:
     return out if b is None else add(out, b)
 
 
+def _consumed(g):
+    raise RuntimeError("graph already consumed by backward(); run the forward again")
+
+
 def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:
-    """Accumulate gradients of ``out`` into every tensor in its graph."""
+    """Accumulate gradients of ``out`` into every tensor in its graph, consuming it.
+
+    Each op's backward function and parent links are dropped as the reverse
+    sweep passes it, so an intermediate the caller does not hold is freed
+    with its saved arrays and gradient; hold any tensor whose ``.grad`` you
+    need. A graph can be back-propagated once: a consumed op raises if a
+    gradient reaches it again, from a second ``backward`` or from a new loss
+    built on one of its outputs.
+    """
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(out, False)]
@@ -456,21 +475,36 @@ def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:
         seed_grad = np.ones_like(out.data)
     out.grad = np.asarray(seed_grad, dtype=out.data.dtype)
 
-    for node in reversed(topo):
-        if node._bw is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        bw, parents, grad = node._bw, node._parents, node.grad
+        if bw is None:
             continue
-        for parent, g in zip(node._parents, node._bw(node.grad)):
+        node._bw, node._parents = _consumed, ()
+        if grad is None:
+            continue
+        grads = bw(grad)
+        for i, (parent, g) in enumerate(zip(parents, grads)):
             if g is None or not parent.requires_grad:
                 continue
             if isinstance(g, RowGrad):
                 if parent.grad is None:
                     parent.grad = np.zeros_like(parent.data)
                 _add_rows(parent.grad, g.rows, g.values)
-            elif parent.grad is None:
-                # a copy: a backward may hand one array to several parents
+            elif parent.grad is not None:
+                parent.grad += g
+            elif (
+                g is grad
+                or type(g) is not np.ndarray  # a numpy scalar from a 0-d op
+                or g.base is not None
+                or g.dtype != parent.data.dtype
+                or any(g is h for h in grads[:i])
+            ):
+                # a copy: the array may be shared (the node's own, a view, a
+                # sibling's), or it has another dtype
                 parent.grad = np.array(g, dtype=parent.data.dtype)
             else:
-                parent.grad += g
+                parent.grad = g
 
 
 class ParamStore:

@@ -76,6 +76,10 @@ class TrainConfig:
     target: dict | None = None  # e.g. {"accuracy": 0.95}: stop once all reached
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
         if self.base_lr <= 0:
@@ -535,7 +539,6 @@ def train(
         )
         return path
 
-    epochs_run = 0
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
@@ -553,7 +556,6 @@ def train(
             adam_step(params, adam, lr_schedule(step, config))
             epoch_loss += out.loss.item() * out.items
             epoch_items += out.items
-        epochs_run = epoch
         row = {"epoch": epoch, "train_loss": epoch_loss / max(epoch_items, 1)}
         if eval_corpus is not None:
             final_eval, predictions = _evaluate_params(
@@ -577,15 +579,11 @@ def train(
         writer.writerows(history)
         _write_text(os.path.join(out_dir, "metrics.csv"), text.getvalue())
         if eval_corpus is not None:
-            if predictions is None:  # no epoch ran, so none scored the final parameters
-                final_eval, predictions = _evaluate_params(
-                    params, cfg, eval_corpus, config.batch_size
-                )
             _write_predictions(os.path.join(out_dir, "predictions.jsonl"), predictions)
         summary = {
-            "epochs_run": epochs_run,
+            "epochs_run": len(history),
             "steps": step,
-            "train_loss": history[-1]["train_loss"] if history else None,
+            "train_loss": history[-1]["train_loss"],
             "eval": final_eval.to_dict() if final_eval else None,
         }
         _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))

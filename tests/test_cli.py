@@ -140,6 +140,15 @@ class TestTrainEvalCommands:
         manifest = json.loads((tmp_path / "rc" / "run_manifest.json").read_text())
         assert manifest["train_config"]["seed"] == 9  # config file beats default
 
+    def test_zero_epochs_rejected(self, capsys, tmp_path, corpus_dir):
+        code, _, err = run_fail(
+            capsys, "train", "--task", "classify", "--train", str(tmp_path / "corpus"),
+            "--out", str(tmp_path / "r0"), "--epochs", "0",
+        )
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "epochs must be >= 1, got 0"}
+        assert not (tmp_path / "r0").exists()
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path, corpus_dir):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"nonsense": 1}))

@@ -655,6 +655,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(d=9, heads=2)
 
+    @pytest.mark.parametrize("field, value", [("heads", 0), ("heads", -4), ("d", 0), ("d", -8)])
+    def test_non_positive_size_named(self, field, value):
+        """Checked before ``d % heads``, so heads=0 is no ZeroDivisionError."""
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            small_config(**{field: value})
+
     def test_round_trip(self):
         cfg = small_config()
         assert ModelConfig.from_obj(cfg.to_obj()) == cfg

@@ -204,10 +204,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="'wrongop'.*'classify'"):
             train(tiny_train_config(), classify_corpus(), eval_corpus=wrongop_corpus())
 
-    @pytest.mark.parametrize("epochs", [0, 2])
+    @pytest.mark.parametrize(
+        "field, value", [("epochs", 0), ("epochs", -3), ("checkpoint_every", -1)]
+    )
+    def test_bad_config_named(self, field, value):
+        """No run with no epoch, and no negative checkpoint interval (which
+        ``epoch % -1 == 0`` would turn into a checkpoint every epoch)."""
+        with pytest.raises(ValueError, match=f"^{field} must be >= [01], got {value}$"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("epochs", [1, 2])
     def test_final_parameters_scored_once(self, tmp_path, monkeypatch, epochs):
         """predictions.jsonl and summary.json come from the last epoch's eval
-        pass; only a run with no epoch scores the parameters after the loop."""
+        pass; the parameters are not scored again after the loop."""
         corpus = classify_corpus()
         passes = []
         scored = training._evaluate_params
@@ -216,7 +225,7 @@ class TestTrainLoop:
         )
         config = tiny_train_config(epochs=epochs)
         result = train(config, corpus, eval_corpus=corpus, out_dir=tmp_path)
-        assert len(passes) == max(epochs, 1)
+        assert len(passes) == epochs
         again = tmp_path / "again.jsonl"
         metrics = evaluate(
             (result.params, result.model_config), corpus, again, batch_size=config.batch_size
