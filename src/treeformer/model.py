@@ -15,11 +15,12 @@ consecutive rows; the naive recursion here calls it with one block of one
 parent. Every op of the step runs once over the level's rows. Both attentions
 run through ``numerics.attention``, one op (and one tape node) that splits
 heads, scores each parent's group of rows, normalizes, mixes and merges
-heads, with an analytic backward; only the projections around it are
-separate ops. The task heads on top of them (a gated softmax pool for tree
-classification, a pointer and a repair head for wrong operators, and a
-per-node classifier) run batched, in ``training.task_forward``; evaluation
-runs them inside ``numerics.no_grad``, which records no tape.
+heads, with an analytic backward; so are the feed-forward layer and each
+residual add with its layer norm (``feed_forward``, ``add_layer_norm``). The
+task heads on top (a gated softmax pool for tree classification, a pointer
+and a repair head for wrong operators, and a per-node classifier) run
+batched, in ``training.task_forward``; evaluation runs them inside
+``numerics.no_grad``, which records no tape.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ from .numerics import (
     ParamStore,
     Tensor,
     add,
+    add_layer_norm,
     attention,
     concat,
+    feed_forward,
     gather_rows,
-    layer_norm,
-    linear,
     matmul,
-    relu,
     scale,
     transpose,
 )
@@ -98,6 +98,12 @@ class ModelConfig:
             raise ValueError("max_children must be >= 1")
         if self.ffn_hidden is None:
             self.ffn_hidden = 4 * self.d
+        if self.ffn_hidden < 1:
+            raise ValueError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
+        if not 0 < self.layer_norm_eps < math.inf:
+            raise ValueError(
+                f"layer_norm_eps must be a finite number > 0, got {self.layer_norm_eps}"
+            )
 
     @property
     def d_head(self) -> int:
@@ -273,13 +279,12 @@ def fraternal_attention(
 
 
 def _ffn(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    inner = relu(linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return linear(inner, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return feed_forward(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
-def _ln(x: Tensor, params: ParamStore, name: str, config: ModelConfig) -> Tensor:
-    return layer_norm(
-        x, params[f"{name}.gamma"], params[f"{name}.beta"], eps=config.layer_norm_eps
+def _add_ln(x: Tensor, r: Tensor, params: ParamStore, name: str, config: ModelConfig) -> Tensor:
+    return add_layer_norm(
+        x, r, params[f"{name}.gamma"], params[f"{name}.beta"], eps=config.layer_norm_eps
     )
 
 
@@ -305,7 +310,7 @@ def bottom_up_step(
     _check_branching(config, blocks)
     if config.use_fraternal_attention:
         frat = fraternal_attention(H, blocks, params, config)
-        H = _ln(add(frat, H), params, "up.ln_frat", config)
+        H = _add_ln(frat, H, params, "up.ln_frat", config)
     elif config.pe_before_parental:
         slots = np.concatenate([np.tile(np.arange(w), n) for w, n in blocks])
         H = add(H, gather_rows(params["up.frat.pos"], slots))
@@ -315,8 +320,8 @@ def bottom_up_step(
         e_parents, H, H, *weights, config.heads, math.sqrt(width),
         [(1, w, n) for w, n in blocks],
     )
-    mid = _ln(add(attended, e_parents), params, "up.ln_attn", config)
-    return _ln(add(_ffn(mid, params, "up.ffn"), mid), params, "up.ln_out", config)
+    mid = _add_ln(attended, e_parents, params, "up.ln_attn", config)
+    return _add_ln(_ffn(mid, params, "up.ffn"), mid, params, "up.ln_out", config)
 
 
 def top_down_step(
@@ -332,8 +337,8 @@ def top_down_step(
     ``[1, d]`` row broadcast over a node's children, as the naive recursion
     passes.
     """
-    mixed = _ln(add(H_children_up, h_parent_down), params, "down.ln_in", config)
-    return _ln(add(_ffn(mixed, params, "down.ffn"), mixed), params, "down.ln_out", config)
+    mixed = _add_ln(H_children_up, h_parent_down, params, "down.ln_in", config)
+    return _add_ln(_ffn(mixed, params, "down.ffn"), mixed, params, "down.ln_out", config)
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,6 @@ def sum_all(a) -> Tensor:
     return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    keep = a.data > 0
-    return _make(a.data * keep, (a,), lambda g: (g * keep,))
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     """Exponential normalization with max-subtraction; rows sum to one."""
     a = _as_tensor(a)
@@ -402,41 +396,66 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit population variance, then affine."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+def add_layer_norm(x, r, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """``x + r`` normalized over the last axis to zero mean and unit population
+    variance, then ``* gamma + beta``, as one op.
+
+    ``r`` has ``x``'s shape or is one ``[1, d]`` row added to every row. The
+    op keeps only the normalized rows and their inverse deviations.
+    """
+    x, r, gamma, beta = (_as_tensor(t) for t in (x, r, gamma, beta))
     d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or beta.data.shape != (d,):
+    if r.data.shape not in (x.data.shape, (1, d)) or {gamma.data.shape, beta.data.shape} != {(d,)}:
         raise ShapeError(
-            f"layer_norm expects gamma/beta of shape ({d},), got "
-            f"{gamma.data.shape} and {beta.data.shape}"
+            f"add_layer_norm takes r of shape {x.data.shape} or (1, {d}) and gamma/beta of shape"
+            f" ({d},); got {r.data.shape}, {gamma.data.shape} and {beta.data.shape}"
         )
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gamma.data + beta.data
+    xhat = x.data + r.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
 
     def bw(g):
-        ghat = g * gamma.data
-        gx = inv * (
-            ghat
-            - ghat.mean(axis=-1, keepdims=True)
-            - xhat * (ghat * xhat).mean(axis=-1, keepdims=True)
-        )
+        gx = g * gamma.data
+        dot = (gx * xhat).mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= xhat * dot
+        gx *= inv
         flat_g = g.reshape(-1, d)
-        flat_hat = xhat.reshape(-1, d)
-        return gx, (flat_g * flat_hat).sum(axis=0), flat_g.sum(axis=0)
+        return (gx, _unbroadcast(gx, r.data.shape),
+                (flat_g * xhat.reshape(-1, d)).sum(axis=0), flat_g.sum(axis=0))
 
-    return _make(data, (x, gamma, beta), bw)
+    return _make(data, (x, r, gamma, beta), bw)
 
 
-def linear(x, w, b=None) -> Tensor:
-    out = matmul(x, w)
-    return out if b is None else add(out, b)
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for 2-D ``x``, as one op."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    data = x.data @ w.data
+    data += b.data
+    return _make(data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+
+
+def feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` for 2-D ``x``, as one op that keeps
+    only the hidden rows after the ReLU."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    h = x.data @ w1.data
+    h += b1.data
+    h *= h > 0
+    data = h @ w2.data
+    data += b2.data
+
+    def bw(g):
+        gh = g @ w2.data.T
+        gh *= h > 0
+        return gh @ w1.data.T, x.data.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
+
+    return _make(data, (x, w1, b1, w2, b2), bw)
 
 
 def _consumed(g):

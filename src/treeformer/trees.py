@@ -137,10 +137,6 @@ def validate(tree: SyntaxTree) -> None:
         raise OrphanNode(f"node {missing} unreachable from root")
 
 
-def parent_map(tree: SyntaxTree) -> dict[int, int]:
-    return {c: n.id for n in tree.nodes.values() for c in n.children}
-
-
 def depths(tree: SyntaxTree) -> dict[int, int]:
     """Depth per node id; the root has depth 1."""
     out = {tree.root: 1}

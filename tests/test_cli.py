@@ -149,6 +149,17 @@ class TestTrainEvalCommands:
         assert json.loads(err) == {"error": "ValueError", "message": "epochs must be >= 1, got 0"}
         assert not (tmp_path / "r0").exists()
 
+    def test_zero_ffn_hidden_rejected(self, capsys, tmp_path, corpus_dir):
+        code, _, err = run_fail(
+            capsys, "train", "--task", "classify", "--train", str(tmp_path / "corpus"),
+            "--out", str(tmp_path / "r0"), "--ffn-hidden", "0",
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "ffn_hidden must be >= 1, got 0"
+        }
+        assert not (tmp_path / "r0").exists()
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path, corpus_dir):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"nonsense": 1}))

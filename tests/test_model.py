@@ -661,6 +661,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_ffn_hidden_named(self, value):
+        """ffn_hidden=0 raised a bare ZeroDivisionError in init_params, and -1
+        numpy's "negative dimensions are not allowed"."""
+        with pytest.raises(ValueError, match=f"^ffn_hidden must be >= 1, got {value}$"):
+            small_config(ffn_hidden=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_bad_layer_norm_eps_named(self, value):
+        """Refused when the config is made, not at the first forward (0.0) or
+        as a non-finite state deep in a run (nan)."""
+        with pytest.raises(ValueError, match=r"^layer_norm_eps must be a finite number > 0"):
+            small_config(layer_norm_eps=value)
+
     def test_round_trip(self):
         cfg = small_config()
         assert ModelConfig.from_obj(cfg.to_obj()) == cfg

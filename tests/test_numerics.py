@@ -9,10 +9,11 @@ from treeformer.numerics import (
     NonFiniteError,
     ParamStore,
     ShapeError,
+    add_layer_norm,
     backward,
     constant,
+    feed_forward,
     grad_check,
-    layer_norm,
     linear,
     load_checkpoint,
     matmul,
@@ -49,18 +50,23 @@ class TestSoftmax:
             softmax(constant([0.0, np.nan]))
 
 
+def _ln(x, gamma, beta, eps=1e-5):
+    """Layer norm of ``x`` alone: ``add_layer_norm`` with a zero residual."""
+    return add_layer_norm(x, constant(np.zeros(x.shape)), gamma, beta, eps=eps)
+
+
 class TestLayerNorm:
     G = constant(np.ones(4))
     B = constant(np.zeros(4))
 
     def test_constant_vector(self):
-        out = layer_norm(constant([[2.0, 2.0, 2.0, 2.0]]), self.G, self.B)
+        out = _ln(constant([[2.0, 2.0, 2.0, 2.0]]), self.G, self.B)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_already_normalized(self):
         g = constant(np.ones(2))
         b = constant(np.zeros(2))
-        out = layer_norm(constant([[1.0, -1.0]]), g, b, eps=1e-12)
+        out = _ln(constant([[1.0, -1.0]]), g, b, eps=1e-12)
         np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-10)
 
     def test_two_pass_oracle(self):
@@ -68,7 +74,7 @@ class TestLayerNorm:
         x = rng.standard_normal(8)
         gamma = rng.standard_normal(8)
         beta = rng.standard_normal(8)
-        out = layer_norm(constant(x[None]), constant(gamma), constant(beta)).data[0]
+        out = _ln(constant(x[None]), constant(gamma), constant(beta)).data[0]
         # independent two-pass mean/variance computation
         mean = sum(x) / 8
         var = sum((v - mean) ** 2 for v in x) / 8
@@ -79,12 +85,51 @@ class TestLayerNorm:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.standard_normal((3, 16)) * 5
-            out = layer_norm(constant(x), constant(np.ones(16)), constant(np.zeros(16)))
+            out = _ln(constant(x), constant(np.ones(16)), constant(np.zeros(16)))
             assert np.abs(out.data.mean(axis=-1)).max() < 1e-10
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            layer_norm(constant(np.zeros((2, 4))), constant(np.ones(3)), constant(np.zeros(4)))
+        with pytest.raises(ShapeError, match=r"got \(2, 4\), \(3,\) and \(4,\)"):
+            _ln(constant(np.zeros((2, 4))), constant(np.ones(3)), constant(np.zeros(4)))
+
+    @pytest.mark.parametrize("r_shape", [(2, 4), (1, 3), (3,), (4,)])
+    def test_residual_mismatch(self, r_shape):
+        with pytest.raises(ShapeError, match="add_layer_norm takes r of shape"):
+            add_layer_norm(constant(np.zeros((3, 4))), constant(np.zeros(r_shape)), self.G, self.B)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan")])
+    def test_non_positive_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            _ln(constant(np.zeros((1, 4))), self.G, self.B, eps=eps)
+
+
+def test_fused_forwards_equal_separate_numpy_steps():
+    """In float64, ``linear``, ``feed_forward`` and ``add_layer_norm`` equal,
+    bit for bit, the numpy steps of the separate ops they replace: product,
+    bias add, ReLU, residual add, mean, centering, variance, scaling."""
+    rng = np.random.default_rng(11)
+    x, r, row = (rng.standard_normal(shape) for shape in ((7, 6), (7, 6), (1, 6)))
+    w1, b1 = rng.standard_normal((6, 24)), rng.standard_normal(24)
+    w2, b2 = rng.standard_normal((24, 6)), rng.standard_normal(6)
+    gamma, beta = rng.standard_normal(6), rng.standard_normal(6)
+
+    def layer_norm(s):
+        mean = s.mean(axis=-1, keepdims=True)
+        centered = s - mean
+        var = (centered**2).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = centered * inv
+        return xhat * gamma + beta
+
+    pre = np.matmul(x, w1) + b1
+    hidden = pre * (pre > 0)
+    c = constant
+    assert linear(c(x), c(w1), c(b1)).data.tobytes() == pre.tobytes()
+    got = feed_forward(c(x), c(w1), c(b1), c(w2), c(b2)).data
+    assert got.tobytes() == (np.matmul(hidden, w2) + b2).tobytes()
+    for res in (r, row):
+        got = add_layer_norm(c(x), c(res), c(gamma), c(beta)).data
+        assert got.tobytes() == layer_norm(x + res).tobytes()
 
 
 class TestMatmulFamily:
@@ -188,14 +233,19 @@ def _(p):
     return nm.sum_all(nm.mul(nm.log_softmax(p["x34"]), C34))
 
 
-@_case("layer_norm")
+@_case("add_layer_norm")
 def _(p):
-    return nm.sum_all(nm.mul(layer_norm(p["x34"], p["g4"], p["b4"]), C34))
+    return nm.sum_all(nm.mul(add_layer_norm(p["x34"], p["z34"], p["g4"], p["b4"]), C34))
 
 
-@_case("relu")
+@_case("add_layer_norm_row")
 def _(p):
-    return nm.sum_all(nm.mul(nm.relu(p["x34"]), C34))
+    return nm.sum_all(nm.mul(add_layer_norm(p["x34"], p["r14"], p["g4"], p["b4"]), C34))
+
+
+@_case("linear")
+def _(p):
+    return nm.sum_all(nm.mul(linear(p["x34"], p["w45"], p["b5"]), C35))
 
 
 @_case("gather_rows")
@@ -245,9 +295,7 @@ def _(p):
     return nm.sum_all(nm.scale(nm.add(nm.neg(y), nm.neg(nm.reshape(C34, (4, 3)))), 0.7))
 
 
-@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
-def test_primitive_gradients(name):
-    """Analytic gradients of every primitive match central differences."""
+def _primitive_params(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     params = ParamStore("float64")
     params.add_param("x34", rng.standard_normal((3, 4)))
@@ -257,7 +305,34 @@ def test_primitive_gradients(name):
     params.add_param("b4", rng.standard_normal(4))
     params.add_param("r14", rng.standard_normal((1, 4)))
     params.add_param("y35", rng.standard_normal((3, 5)))
-    assert grad_check(PRIMITIVE_CASES[name], params, eps=1e-6) < 1e-6
+    params.add_param("z34", rng.standard_normal((3, 4)))
+    params.add_param("b5", rng.standard_normal(5))
+    params.add_param("w54", rng.standard_normal((5, 4)))
+    return params
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+def test_primitive_gradients(name):
+    """Analytic gradients of every primitive match central differences."""
+    assert grad_check(PRIMITIVE_CASES[name], _primitive_params(name), eps=1e-6) < 1e-6
+
+
+def test_feed_forward_gradients():
+    """``feed_forward`` against central differences, with a step of 1e-3.
+
+    Away from a ReLU kink the op is linear in each single coordinate, so a
+    central difference has no truncation error and a larger step only cuts
+    its rounding. At the primitives' 1e-6, rounding alone reads 2.9e-5 on an
+    input coordinate whose gradient is 3.7e-5 (1e-4: 7.8e-7, 1e-3: 4.8e-9).
+    """
+    params = _primitive_params("feed_forward")
+    pre = params["x34"].data @ params["w45"].data + params["b5"].data
+    assert np.abs(pre).min() > 0.1  # no probe moves a pre-activation across zero
+
+    def f(p):
+        return nm.sum_all(nm.mul(feed_forward(p["x34"], p["w45"], p["b5"], p["w54"], p["b4"]), C34))
+
+    assert grad_check(f, params, eps=1e-3) < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -412,10 +487,10 @@ class TestNoGrad:
     def test_outputs_record_nothing(self):
         w = self._param()
         with nm.no_grad():
-            out = nm.sum_all(nm.relu(matmul(w, nm.transpose(w, (1, 0)))))
+            out = nm.sum_all(linear(w, nm.transpose(w, (1, 0)), constant([-60.0, 0.0])))
         assert not out.requires_grad
         assert out._parents == () and out._bw is None
-        assert out.item() == float(np.maximum(w.data @ w.data.T, 0).sum())
+        assert out.item() == float((w.data @ w.data.T + [-60.0, 0.0]).sum())
 
     def test_recording_resumes_after_block_and_error(self):
         w = self._param()
@@ -447,7 +522,7 @@ class TestDeterminism:
         b = rng.standard_normal(5)
 
         def run():
-            t = layer_norm(constant(x), constant(g), constant(b))
+            t = add_layer_norm(constant(x), constant(x[:1]), constant(g), constant(b))
             t = softmax(matmul(t, constant(x)))
             return t.data.tobytes()
 

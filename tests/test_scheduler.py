@@ -13,7 +13,11 @@ from treeformer.scheduler import (
     check_schedule,
     cost_report,
 )
-from treeformer.trees import depth, depths, parent_map, random_tree
+from treeformer.trees import SyntaxTree, depth, depths, random_tree
+
+
+def parent_map(tree: SyntaxTree) -> dict[int, int]:
+    return {c: n.id for n in tree.nodes.values() for c in n.children}
 
 
 def node_at(schedule):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from treeformer import numerics as nm
-from treeformer.model import ModelConfig, init_params
+from treeformer.model import ModelConfig, init_params, top_down_step
 from treeformer.numerics import ParamStore, RowGrad, _add_rows, backward, constant
 from treeformer.training import task_forward
 from treeformer.trees import random_tree
@@ -55,8 +55,9 @@ def oracle_backward(out):
 
 D = 4  # columns of every pooled tensor
 MAX_ROWS = 12  # rows of any pooled tensor; the position table is this wide
-OPS = ("add", "matmul", "relu", "reshape", "concat", "gather_rows", "scatter_rows",
-       "layer_norm", "attention")
+HIDDEN = 8  # feed_forward's hidden width
+OPS = ("add", "matmul", "linear", "feed_forward", "reshape", "concat", "gather_rows",
+       "scatter_rows", "add_layer_norm", "attention")
 
 
 @st.composite
@@ -79,7 +80,7 @@ def programs(draw):
     ops = []
     for _ in range(draw(st.integers(1, 12))):
         op, a = draw(st.sampled_from(OPS)), pick()
-        if op == "add":  # None: a learnable [1, D] row, broadcast
+        if op in ("add", "add_layer_norm"):  # None: a learnable [1, D] row, broadcast
             ops.append((op, a, draw(st.none() | st.just(pick(rows[a])))))
         elif op == "concat":
             b = pick()
@@ -122,6 +123,10 @@ def run_program(program):
     ]
     w = params.add_param("w", rng.standard_normal((D, D)) / 2)
     bias = params.add_param("bias", rng.standard_normal((1, D)))
+    b2 = params.add_param("b2", rng.standard_normal(D))
+    w1 = params.add_param("w1", rng.standard_normal((D, HIDDEN)) / 2)
+    b1 = params.add_param("b1", rng.standard_normal(HIDDEN))
+    w2 = params.add_param("w2", rng.standard_normal((HIDDEN, D)) / 2)
     gamma = params.add_param("gamma", 1.0 + rng.standard_normal(D) / 4)
     beta = params.add_param("beta", rng.standard_normal(D) / 4)
     pos = params.add_param("pos", rng.standard_normal((MAX_ROWS, MAX_ROWS)))
@@ -131,8 +136,10 @@ def run_program(program):
             out = nm.add(x, bias if more[0] is None else pool[more[0]])
         elif op == "matmul":
             out = nm.matmul(x, w)
-        elif op == "relu":
-            out = nm.relu(x)
+        elif op == "linear":
+            out = nm.linear(x, w, b2)
+        elif op == "feed_forward":
+            out = nm.feed_forward(x, w1, b1, w2, b2)
         elif op == "reshape":
             out = nm.reshape(nm.reshape(x, (-1, 2)), x.shape)
         elif op == "concat":
@@ -142,8 +149,8 @@ def run_program(program):
         elif op == "scatter_rows":
             idx, b, src = more
             out = nm.scatter_rows(x, idx, nm.gather_rows(pool[b], src))
-        elif op == "layer_norm":
-            out = nm.layer_norm(x, gamma, beta)
+        elif op == "add_layer_norm":
+            out = nm.add_layer_norm(x, bias if more[0] is None else pool[more[0]], gamma, beta)
         else:
             k, v, positioned = pool[more[0]], pool[more[1]], more[2]
             out = nm.attention(x, k, v, 2, np.sqrt(2.0), [(x.shape[0], k.shape[0], 1)],
@@ -208,7 +215,7 @@ def test_gradient_of_a_0d_tensor_is_an_array():
 def _chain():
     params = ParamStore("float64")
     w = params.add_param("w", np.arange(6.0).reshape(2, 3))
-    mid = nm.relu(nm.matmul(w, constant(np.ones((3, 3)))))
+    mid = nm.linear(w, constant(np.ones((3, 3))), constant(np.zeros(3)))
     return w, mid, nm.sum_all(nm.scale(mid, 2.0))
 
 
@@ -236,7 +243,7 @@ class TestConsumedGraph:
         w, _, loss = _chain()
         backward(loss)
         first, w.grad = w.grad, None
-        mid = nm.relu(nm.matmul(w, constant(np.ones((3, 3)))))
+        mid = nm.linear(w, constant(np.ones((3, 3))), constant(np.zeros(3)))
         backward(nm.sum_all(nm.scale(mid, 2.0)))
         assert w.grad.tobytes() == first.tobytes()
 
@@ -244,8 +251,9 @@ class TestConsumedGraph:
 def test_dropped_intermediates_freed_held_keep_grad():
     params = ParamStore("float64")
     w = params.add_param("w", np.ones((4, 4)))
-    held = nm.relu(nm.matmul(w, w))
-    dropped = nm.layer_norm(held, constant(np.ones(4)), constant(np.zeros(4)))
+    zeros = constant(np.zeros(4))
+    held = nm.feed_forward(w, w, zeros, w, zeros)
+    dropped = nm.add_layer_norm(held, held, constant(np.ones(4)), zeros)
     gone = weakref.ref(dropped.data)  # a Tensor takes no weak reference; its array lives as long
     loss = nm.sum_all(nm.matmul(dropped, w))
     del dropped
@@ -280,3 +288,24 @@ def test_backward_peak_memory_near_forward():
     finally:
         tracemalloc.stop()
     assert peak / held <= 1.4, f"backward peak {peak} B, forward holds {held} B"
+
+
+def test_top_down_step_holds_few_row_copies():
+    """A finished top-down forward over 512 rows holds at most 12 row widths
+    per row: each of the two residual layer norms keeps its normalized rows
+    and its output, the feed-forward layer its hidden rows (4d) and its
+    output, about 9.2 in all. Separate add, matmul, bias, ReLU and layer-norm
+    ops held 20.7. Bytes, not time: the same on every run."""
+    cfg = ModelConfig(d=16, heads=2, type_vocab_size=4, token_vocab_size=4, node_classes=2)
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    parents, children = (constant(rng.standard_normal((512, 16))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = top_down_step(parents, children, params, cfg)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held / 512 <= 12 * 16 * 8, f"{held / 512 / (16 * 8):.1f} row widths per row"
