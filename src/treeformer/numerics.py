@@ -2,9 +2,12 @@
 
 All primitives operate on :class:`Tensor` (a thin wrapper over a numpy array)
 and record enough structure for :func:`backward` to accumulate gradients.
-Precision is carried by the array dtype: float64 for verification, float32
-for training. Primitives are deterministic; identical inputs give
-bit-identical outputs within one precision mode.
+Besides the generic ops, each composite the model runs is one fused op with
+an analytic backward: attention, the bias linear, the feed-forward layer,
+residual add + layer norm, and the softmax cross-entropy loss. Precision
+is carried by the array dtype: float64 for verification, float32 for
+training. Primitives are deterministic; identical inputs give bit-identical
+outputs within one precision mode.
 """
 
 from __future__ import annotations
@@ -125,24 +128,6 @@ def add(a, b) -> Tensor:
 
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _make(data, (a, b), bw)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-
-    def bw(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
 
     return _make(data, (a, b), bw)
 
@@ -269,28 +254,6 @@ def scatter_rows(a, idx, rows) -> Tensor:
     return _make(data, (a, rows), bw)
 
 
-def select_columns(a, idx) -> Tensor:
-    """out[i] = a[i, idx[i]] for a 2-D input; returns a 1-D tensor."""
-    a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    rows = np.arange(a.data.shape[0])
-    data = a.data[rows, idx]
-
-    def bw(g):
-        # one (row, column) pair per row: a plain assignment sums nothing
-        ga = np.zeros_like(a.data)
-        ga[rows, idx] = g
-        return (ga,)
-
-    return _make(data, (a,), bw)
-
-
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    shape = a.data.shape
-    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     """Exponential normalization with max-subtraction; rows sum to one."""
     a = _as_tensor(a)
@@ -381,21 +344,6 @@ def attention(
     return _make(out, parents, bw)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    if not np.isfinite(a.data.sum()):
-        raise NonFiniteError("log_softmax input contains NaN/Inf")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    y = np.exp(out)
-
-    def bw(g):
-        return (g - y * g.sum(axis=axis, keepdims=True),)
-
-    return _make(out, (a,), bw)
-
-
 def add_layer_norm(x, r, gamma, beta, eps: float = 1e-5) -> Tensor:
     """``x + r`` normalized over the last axis to zero mean and unit population
     variance, then ``* gamma + beta``, as one op.
@@ -456,6 +404,38 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
         return gh @ w1.data.T, x.data.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
 
     return _make(data, (x, w1, b1, w2, b2), bw)
+
+
+def cross_entropy(logits, labels) -> Tensor:
+    """Mean cross-entropy of ``labels`` under the softmax of each row of
+    ``logits`` (``[n, c]``, or ``[c]`` taken as one row), as one 0-d op.
+
+    Its value and gradient equal, bit for bit, those of log-softmax, picking
+    each row's label, summing, negating and scaling by ``1/n`` as separate ops.
+    """
+    logits = _as_tensor(logits)
+    x = logits.data.reshape(1, -1) if logits.data.ndim == 1 else logits.data
+    labels = np.asarray(labels, dtype=np.intp).reshape(-1)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ShapeError(f"cross_entropy takes [n, c] logits with n >= 1; got {logits.shape}")
+    n, c = x.shape
+    if labels.size != n:
+        raise ShapeError(f"cross_entropy takes one label per row: {n} rows, {labels.size} labels")
+    if labels.min() < 0 or labels.max() >= c:
+        raise IndexError(f"label outside [0, {c})")
+    if not np.isfinite(x.sum()):
+        raise NonFiniteError("cross_entropy logits contain NaN/Inf")
+    shifted = x - x.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows, inv_n = np.arange(n), float(1.0 / n)
+
+    def bw(g):
+        gx = np.zeros_like(out)
+        gx[rows, labels] = -(g * inv_n)
+        gx -= np.exp(out) * gx.sum(axis=-1, keepdims=True)
+        return (gx if logits.data.ndim == 2 else gx.reshape(-1),)
+
+    return _make(np.asarray(-out[rows, labels].sum() * inv_n), (logits,), bw)
 
 
 def _consumed(g):

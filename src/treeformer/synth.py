@@ -281,6 +281,8 @@ def gen_program_source(
     The operator count is drawn around ``mean_ops`` and then hit exactly, so
     the corpus mean tracks the requested density.
     """
+    if min_ops > 12:
+        raise ValueError(f"min_ops must be <= 12, the cap on operators per program; got {min_ops}")
     r = _roles(rng)
     target = int(np.clip(round(rng.normal(mean_ops, 1.5)), min_ops, 12))
     pool = _idiom_pool(r)
@@ -451,6 +453,15 @@ def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> Mu
         raise ValueError(f"{where}: target_node {target} is not an operator leaf")
     if not 0 <= original < len(OPS_MINI):
         raise ValueError(f"{where}: original_op {original} outside the {len(OPS_MINI)} operators")
+    try:
+        held = minilang.operator_class(tree, target, vocab)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    if corrupted != held or corrupted == original:
+        raise ValueError(
+            f"{where}: corrupted_op {corrupted} must be the operator target_node {target}"
+            f" holds ({held}) and differ from original_op {original}"
+        )
     return MutationRecord(tree, target, original, corrupted, source_hash)
 
 

@@ -1,4 +1,6 @@
-"""Losses, Adam with linear warmup, train/eval loops, metrics, and run artifacts.
+"""Task heads and losses, Adam with linear warmup, train/eval loops, metrics, and run artifacts.
+
+The cross-entropy is the fused ``numerics.cross_entropy``, re-exported here.
 
 Runs are reproducible: all randomness flows from the config seed, artifacts
 carry no wall-clock data, and reruns in float64 match bit for bit.
@@ -28,19 +30,15 @@ from .numerics import (
     add,
     backward,
     constant,
+    cross_entropy,
     gather_rows,
     linear,
     load_checkpoint,
-    log_softmax,
     matmul,
-    neg,
     no_grad,
     reshape,
     save_checkpoint,
-    scale,
-    select_columns,
     softmax,
-    sum_all,
 )
 from .scheduler import Schedule
 from .synth import Corpus
@@ -138,22 +136,6 @@ def adam_step(
 
 # ---------------------------------------------------------------------------
 # losses
-
-def _as_logits(x) -> Tensor:
-    t = x if isinstance(x, Tensor) else constant(np.asarray(x, dtype=np.float64))
-    return reshape(t, (1, t.data.size)) if t.data.ndim == 1 else t
-
-
-def cross_entropy(logits, labels) -> Tensor:
-    """Mean cross-entropy over rows of ``logits``."""
-    logits = _as_logits(logits)
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    n, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
-        raise IndexError(f"label outside [0, {c})")
-    picked = select_columns(log_softmax(logits), labels)
-    return scale(neg(sum_all(picked)), 1.0 / n)
-
 
 def loss_wrongop(pointer_logits, repair_logits, target_index, repair_label) -> Tensor:
     """Localization plus repair cross-entropies, summed unweighted."""
@@ -419,6 +401,8 @@ def _check_tensors(params: ParamStore, cfg: ModelConfig, path) -> None:
 
 def evaluate(checkpoint, corpus: Corpus, predictions_path=None, batch_size: int = 64) -> Metrics:
     """Metrics of a stored (or in-memory ``(params, config)``) model on a corpus."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if isinstance(checkpoint, (str, os.PathLike)):
         params, extra = load_checkpoint(checkpoint)
         cfg = ModelConfig.from_obj(extra["model_config"])

@@ -1,4 +1,15 @@
+import numpy as np
+
+from treeformer import numerics as nm
 from treeformer.trees import SyntaxNode, SyntaxTree
+
+
+def weighted_sum(y, weights=None):
+    """``sum(y * weights)`` (all-ones weights when None) as a 0-d tensor, built
+    from ``reshape`` and ``matmul``: the scalar loss tests reduce an op to."""
+    y = nm.reshape(y, (1, -1))
+    w = np.ones(y.shape[1], y.dtype) if weights is None else weights
+    return nm.reshape(nm.matmul(y, nm.reshape(w, (-1, 1))), ())
 
 
 def make_tree(edges, root=0, types=None, tokens=None, label=None):

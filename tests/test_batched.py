@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import chain, make_tree, star
+from conftest import chain, make_tree, star, weighted_sum
 from treeformer.batched import batch_state_tensors, encode_batch
 from treeformer.model import ModelConfig, encode_tree, init_params, naive_state_tensors
-from treeformer.numerics import add, backward, concat, constant, mul, sum_all
+from treeformer.numerics import add, backward, concat, constant
 from treeformer.scheduler import build_schedule
 from treeformer.training import pooled_rows
 from treeformer.trees import random_tree
@@ -76,8 +76,8 @@ class TestEquivalence:
 def _projected_loss(S, D, rng):
     """A loss that weighs every bottom-up and final state entry differently."""
     return add(
-        sum_all(mul(S, constant(rng.standard_normal(S.shape)))),
-        sum_all(mul(D, constant(rng.standard_normal(D.shape)))),
+        weighted_sum(S, constant(rng.standard_normal(S.shape))),
+        weighted_sum(D, constant(rng.standard_normal(D.shape))),
     )
 
 

@@ -76,6 +76,18 @@ class TestSynthCommands:
         assert len(lines) == 5
         assert "mutation" in json.loads(lines[0])
 
+    def test_wrongop_min_ops_above_cap_rejected(self, capsys, tmp_path):
+        code, _, err = run_fail(
+            capsys, "synth-wrongop", "--programs", "5", "--min-ops", "14",
+            "--out", str(tmp_path / "w"),
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "min_ops must be <= 12, the cap on operators per program; got 14",
+        }
+        assert not (tmp_path / "w").exists()
+
     def test_bad_params_json_error(self, capsys, tmp_path):
         code, _, err = run_fail(
             capsys, "synth-classify", "--classes", "40", "--out", str(tmp_path / "x")
@@ -112,6 +124,15 @@ class TestTrainEvalCommands:
         assert code == 0
         metrics = json.loads(out)
         assert metrics["task"] == "classify" and "accuracy" in metrics
+
+    def test_eval_zero_batch_size_rejected(self, capsys, tmp_path, corpus_dir):
+        assert self._train(capsys, tmp_path, "run", "--epochs", "1")[0] == 0
+        code, out, err = run_fail(
+            capsys, "eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+            "--data", str(tmp_path / "corpus"), "--batch-size", "0",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "batch_size must be >= 1, got 0"}
 
     def test_rerun_reproduces_artifacts(self, capsys, tmp_path, corpus_dir):
         self._train(capsys, tmp_path, "r1")

@@ -3,6 +3,8 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import weighted_sum
+
 from treeformer import numerics as nm
 from treeformer.numerics import (
     CheckpointError,
@@ -12,6 +14,7 @@ from treeformer.numerics import (
     add_layer_norm,
     backward,
     constant,
+    cross_entropy,
     feed_forward,
     grad_check,
     linear,
@@ -106,7 +109,11 @@ class TestLayerNorm:
 def test_fused_forwards_equal_separate_numpy_steps():
     """In float64, ``linear``, ``feed_forward`` and ``add_layer_norm`` equal,
     bit for bit, the numpy steps of the separate ops they replace: product,
-    bias add, ReLU, residual add, mean, centering, variance, scaling."""
+    bias add, ReLU, residual add, mean, centering, variance, scaling. In
+    float64 and float32, ``cross_entropy``'s value and logits gradient equal
+    those of log-softmax, label pick, sum, negation and ``1/n`` scaling, with
+    each gradient stored in the logits' dtype between steps as ``backward``
+    stores it."""
     rng = np.random.default_rng(11)
     x, r, row = (rng.standard_normal(shape) for shape in ((7, 6), (7, 6), (1, 6)))
     w1, b1 = rng.standard_normal((6, 24)), rng.standard_normal(24)
@@ -130,6 +137,41 @@ def test_fused_forwards_equal_separate_numpy_steps():
     for res in (r, row):
         got = add_layer_norm(c(x), c(res), c(gamma), c(beta)).data
         assert got.tobytes() == layer_norm(x + res).tobytes()
+
+    labels = rng.integers(0, 6, size=7)
+    rows, inv_n = np.arange(7), float(1.0 / 7)
+    for dtype in (np.float64, np.float32):
+        logits = ParamStore(np.dtype(dtype).name).add_param("x", x)
+        loss = cross_entropy(logits, labels)
+        backward(loss)
+        z = logits.data
+        shifted = z - z.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        picked_sum = np.asarray(logp[rows, labels].sum())
+        assert loss.data.tobytes() == np.asarray(-picked_sum * inv_n).tobytes()
+        seed = np.ones((), dtype)
+        g_sum = np.array(-np.array(seed * inv_n, dtype), dtype)  # scale, then neg
+        g_logp = np.zeros_like(logp)
+        g_logp[rows, labels] = np.broadcast_to(g_sum, (7,))  # sum, then pick
+        want = g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
+        assert logits.grad.dtype == dtype and logits.grad.tobytes() == want.tobytes()
+
+
+class TestCrossEntropy:
+    def test_label_count_named(self):
+        with pytest.raises(ShapeError, match="4 rows, 2 labels"):
+            cross_entropy(np.zeros((4, 3)), [0, 1])
+
+    @pytest.mark.parametrize("shape, labels", [((0, 3), []), ((2, 3, 4), [0, 0]), ((), [0])])
+    def test_empty_or_misshapen_logits_named(self, shape, labels):
+        """An empty batch raised numpy's zero-size reduction error."""
+        with pytest.raises(ShapeError, match="cross_entropy takes"):
+            cross_entropy(np.zeros(shape), labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits(self, bad):
+        with pytest.raises(NonFiniteError, match="cross_entropy"):
+            cross_entropy(np.array([[0.0, bad]]), [0])
 
 
 class TestMatmulFamily:
@@ -170,7 +212,7 @@ class TestGradCheck:
 
         def f(p):
             w = p["w"]
-            return nm.sum_all(nm.mul(w, w))
+            return weighted_sum(w, w)
 
         assert grad_check(f, params, eps=1e-5) <= 1e-10
 
@@ -180,7 +222,7 @@ class TestGradCheck:
         c = constant([2.0, 1.0, -1.0])
 
         def f(p):
-            return nm.sum_all(nm.mul(p["w"], c))
+            return weighted_sum(p["w"], c)
 
         assert grad_check(f, params, eps=1e-4) <= 1e-10
 
@@ -188,7 +230,7 @@ class TestGradCheck:
         params = ParamStore("float64")
         params.add_param("w", np.array([1e200]))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            grad_check(lambda p: nm.mul(nm.mul(p["w"], p["w"]), p["w"]), params)
+            grad_check(lambda p: weighted_sum(weighted_sum(p["w"], p["w"]), p["w"]), params)
 
 
 PRIMITIVE_CASES = {}
@@ -215,84 +257,78 @@ C54 = constant(rng0.standard_normal((5, 4)))
 
 @_case("matmul")
 def _(p):
-    return nm.sum_all(nm.mul(matmul(p["x34"], p["w45"]), C35))
+    return weighted_sum(matmul(p["x34"], p["w45"]), C35)
 
 
 @_case("matmul_batched_shared_weight")
 def _(p):
-    return nm.sum_all(nm.mul(matmul(p["b234"], p["w45"]), C235))
+    return weighted_sum(matmul(p["b234"], p["w45"]), C235)
 
 
 @_case("softmax")
 def _(p):
-    return nm.sum_all(nm.mul(softmax(p["x34"]), C34))
-
-
-@_case("log_softmax")
-def _(p):
-    return nm.sum_all(nm.mul(nm.log_softmax(p["x34"]), C34))
+    return weighted_sum(softmax(p["x34"]), C34)
 
 
 @_case("add_layer_norm")
 def _(p):
-    return nm.sum_all(nm.mul(add_layer_norm(p["x34"], p["z34"], p["g4"], p["b4"]), C34))
+    return weighted_sum(add_layer_norm(p["x34"], p["z34"], p["g4"], p["b4"]), C34)
 
 
 @_case("add_layer_norm_row")
 def _(p):
-    return nm.sum_all(nm.mul(add_layer_norm(p["x34"], p["r14"], p["g4"], p["b4"]), C34))
+    return weighted_sum(add_layer_norm(p["x34"], p["r14"], p["g4"], p["b4"]), C34)
 
 
 @_case("linear")
 def _(p):
-    return nm.sum_all(nm.mul(linear(p["x34"], p["w45"], p["b5"]), C35))
+    return weighted_sum(linear(p["x34"], p["w45"], p["b5"]), C35)
 
 
 @_case("gather_rows")
 def _(p):
-    return nm.sum_all(nm.mul(nm.gather_rows(p["x34"], np.array([0, 2, 2, 1])), C44))
+    return weighted_sum(nm.gather_rows(p["x34"], np.array([0, 2, 2, 1])), C44)
 
 
 @_case("gather_rows_from")
 def _(p):
     parts = [(p["x34"], np.array([0, 3]), np.array([2, 0])), (p["r14"], np.array([4]), np.array([0]))]
-    return nm.sum_all(nm.mul(nm.gather_rows_from(5, parts), C54))
+    return weighted_sum(nm.gather_rows_from(5, parts), C54)
 
 
 @_case("scatter_rows")
 def _(p):
-    return nm.sum_all(nm.mul(nm.scatter_rows(p["x34"], np.array([1]), p["r14"]), C34))
+    return weighted_sum(nm.scatter_rows(p["x34"], np.array([1]), p["r14"]), C34)
 
 
-@_case("select_columns")
+@_case("cross_entropy")
 def _(p):
-    return nm.sum_all(nm.select_columns(p["x34"], np.array([1, 3, 0])))
+    return cross_entropy(p["x34"], np.array([1, 3, 0]))
+
+
+@_case("cross_entropy_row")
+def _(p):
+    return cross_entropy(p["g4"], 2)
 
 
 @_case("transpose")
 def _(p):
-    return nm.sum_all(nm.mul(nm.transpose(p["b234"], (1, 0, 2)), C324))
+    return weighted_sum(nm.transpose(p["b234"], (1, 0, 2)), C324)
 
 
 @_case("concat")
 def _(p):
-    return nm.sum_all(nm.mul(nm.concat([p["x34"], p["y35"]], axis=1), C39))
+    return weighted_sum(nm.concat([p["x34"], p["y35"]], axis=1), C39)
 
 
 @_case("add_broadcast")
 def _(p):
-    return nm.sum_all(nm.mul(nm.add(p["x34"], p["g4"]), C34))
+    return weighted_sum(nm.add(p["x34"], p["g4"]), C34)
 
 
-@_case("mul_broadcast")
+@_case("reshape_scale")
 def _(p):
-    return nm.sum_all(nm.mul(nm.mul(p["x34"], p["g4"]), C34))
-
-
-@_case("reshape_neg_sub_scale")
-def _(p):
-    y = nm.reshape(p["x34"], (4, 3))
-    return nm.sum_all(nm.scale(nm.add(nm.neg(y), nm.neg(nm.reshape(C34, (4, 3)))), 0.7))
+    return weighted_sum(nm.scale(nm.reshape(p["x34"], (4, 3)), -0.7), C34)
 
 
 def _primitive_params(name):
@@ -330,7 +366,7 @@ def test_feed_forward_gradients():
     assert np.abs(pre).min() > 0.1  # no probe moves a pre-activation across zero
 
     def f(p):
-        return nm.sum_all(nm.mul(feed_forward(p["x34"], p["w45"], p["b5"], p["w54"], p["b4"]), C34))
+        return weighted_sum(feed_forward(p["x34"], p["w45"], p["b5"], p["w54"], p["b4"]), C34)
 
     assert grad_check(f, params, eps=1e-3) < 1e-6
 
@@ -354,7 +390,7 @@ def test_shared_weight_matmul_gradients(a_shape, transposed, weight_3d):
     def f(p):
         a = nm.transpose(p["a"], (1, 0, 2)) if transposed else p["a"]
         w = nm.reshape(p["w"], (1, 4, 5)) if weight_3d else p["w"]
-        return nm.sum_all(nm.mul(matmul(a, w), weights))
+        return weighted_sum(matmul(a, w), weights)
 
     assert grad_check(f, params, eps=1e-6) < 1e-6
 
@@ -406,7 +442,7 @@ def test_attention_gradients(call, positioned):
     rng = np.random.default_rng(zlib.crc32(f"{call}False{positioned}".encode()))
     params, run = _attention_inputs(call, positioned, rng)
     weights = constant(rng.standard_normal(run(params).shape))
-    assert grad_check(lambda p: nm.sum_all(nm.mul(run(p), weights)), params, eps=1e-5) < 1e-6
+    assert grad_check(lambda p: weighted_sum(run(p), weights), params, eps=1e-5) < 1e-6
 
 
 def test_attention_equals_separate_ops():
@@ -487,7 +523,7 @@ class TestNoGrad:
     def test_outputs_record_nothing(self):
         w = self._param()
         with nm.no_grad():
-            out = nm.sum_all(linear(w, nm.transpose(w, (1, 0)), constant([-60.0, 0.0])))
+            out = weighted_sum(linear(w, nm.transpose(w, (1, 0)), constant([-60.0, 0.0])))
         assert not out.requires_grad
         assert out._parents == () and out._bw is None
         assert out.item() == float((w.data @ w.data.T + [-60.0, 0.0]).sum())
@@ -500,7 +536,7 @@ class TestNoGrad:
         with pytest.raises(KeyError):
             with nm.no_grad():
                 raise KeyError("inside")
-        out = nm.sum_all(nm.scale(w, 2.0))
+        out = weighted_sum(nm.scale(w, 2.0))
         assert out.requires_grad
         backward(out)
         np.testing.assert_array_equal(w.grad, np.full((2, 3), 2.0))
@@ -509,9 +545,9 @@ class TestNoGrad:
         w = self._param()
         with nm.no_grad():
             with nm.no_grad():
-                assert not nm.neg(w).requires_grad
-            assert not nm.neg(w).requires_grad
-        assert nm.neg(w).requires_grad
+                assert not nm.scale(w, -1.0).requires_grad
+            assert not nm.scale(w, -1.0).requires_grad
+        assert nm.scale(w, -1.0).requires_grad
 
 
 class TestDeterminism:
@@ -533,7 +569,7 @@ class TestBackward:
     def test_accumulates_over_reuse(self):
         params = ParamStore("float64")
         w = params.add_param("w", np.array([2.0]))
-        out = nm.add(nm.mul(w, w), nm.scale(w, 3.0))  # w^2 + 3w -> grad 2w+3 = 7
+        out = nm.add(weighted_sum(w, w), nm.scale(w, 3.0))  # w^2 + 3w -> grad 2w+3 = 7
         backward(out)
         np.testing.assert_allclose(w.grad, [7.0])
 
@@ -557,8 +593,8 @@ class TestBackward:
     def test_intermediate_grads_available(self):
         params = ParamStore("float64")
         w = params.add_param("w", np.array([[1.0, 2.0]]))
-        mid = nm.mul(w, constant([[2.0, 2.0]]))
-        backward(nm.sum_all(mid))
+        mid = nm.scale(w, 2.0)
+        backward(weighted_sum(mid))
         assert mid.grad is not None and w.grad is not None
 
     def test_constants_get_no_gradient(self):
@@ -575,7 +611,7 @@ class TestBackward:
             )
             c, rows = make("c"), make("rows")
             picked = nm.gather_rows(rows, [2, 0, 2])
-            out = nm.sum_all(nm.mul(nm.add(nm.mul(w, c), picked), picked))
+            out = weighted_sum(nm.add(w, picked), nm.add(c, picked))
             backward(out)
             if not learnable:
                 assert c.grad is None and rows.grad is None

@@ -1,6 +1,7 @@
 """Property tests over random forests: schedules, cached tree arrays, batched vs
 naive, the node-classify head's rows, checkpoint round trips, and the JSON-lines
-round trips of random trees and generated mini-language programs."""
+round trips of random trees and generated mini-language programs; and the
+cross-entropy loss against a numpy log-softmax reference."""
 
 import os
 import tempfile
@@ -17,6 +18,8 @@ from treeformer.minilang import MINI_VOCAB, parse
 from treeformer.model import ModelConfig, embed_node, encode_tree, init_params
 from treeformer.numerics import (
     CheckpointError,
+    ParamStore,
+    backward,
     gather_rows,
     linear,
     load_checkpoint,
@@ -183,6 +186,30 @@ def test_node_head_rows_match_sorted_labels(batch, seed):
     assert out.targets.tolist() == labels and out.items == len(labels)
     assert out.logits.tobytes() == logits.data.tobytes()
     assert out.loss.item() == cross_entropy(logits, labels).item()
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+def test_cross_entropy_matches_log_softmax_reference(n, c, data):
+    """Value and logits gradient against a plain numpy log-softmax: the mean
+    of ``-log p[label]`` and ``(softmax - onehot) / n``, for ``[n, c]`` logits
+    and, when there is one row, ``[c]``."""
+    labels = data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, c)) * data.draw(st.sampled_from([0.1, 1.0, 30.0]))
+    flat = n == 1 and data.draw(st.booleans())
+    logits = ParamStore("float64").add_param("x", x[0] if flat else x)
+    loss = cross_entropy(logits, labels)
+    backward(loss)
+
+    m = x.max(axis=1, keepdims=True)
+    log_p = x - (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))
+    onehot = np.eye(c)[labels]
+    assert loss.shape == ()
+    want = -log_p[np.arange(n), labels].mean()
+    np.testing.assert_allclose(loss.item(), want, rtol=1e-12, atol=1e-12)
+    want = (np.exp(log_p) - onehot) / n
+    np.testing.assert_allclose(logits.grad, want[0] if flat else want, rtol=1e-10, atol=1e-14)
 
 
 @st.composite

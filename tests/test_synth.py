@@ -132,6 +132,17 @@ class TestWrongopCorpus:
         with pytest.raises(ValueError):
             gen_wrongop_corpus(5, 1, seed=0)
 
+    def test_min_ops_above_cap_refused(self):
+        """A program holds at most 12 operators, so a larger minimum is refused
+        rather than clipped to 12; 12 itself is met exactly."""
+        for min_ops in (13, 14):
+            with pytest.raises(ValueError, match=f"min_ops must be <= 12.*got {min_ops}"):
+                gen_program_source(np.random.default_rng(0), min_ops=min_ops)
+        with pytest.raises(ValueError, match="min_ops must be <= 12"):
+            gen_wrongop_corpus(5, 14, seed=0)
+        for rec in gen_wrongop_corpus(5, 12, seed=0):
+            assert len(operator_nodes(rec.tree)) == 12
+
     def test_deterministic(self):
         a = gen_wrongop_corpus(15, 2, seed=21)
         b = gen_wrongop_corpus(15, 2, seed=21)
@@ -203,6 +214,31 @@ class TestCorpusIO:
             return json.dumps(obj)
 
         with pytest.raises(ValueError, match="line 2: original_op 13 outside"):
+            load_corpus(self._corrupt_line_2(tmp_path, edit))
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"corrupted_op": 99}, {"corrupted_op": "original_op"}, {"original_op": "corrupted_op"}],
+        ids=["unknown", "not_held", "equal_to_original"],
+    )
+    def test_wrongop_corrupted_op_checked_named(self, tmp_path, change):
+        """``corrupted_op`` must be the operator the stored (corrupted) tree
+        holds at ``target_node``, and differ from ``original_op``."""
+        def edit(obj):
+            mut = obj["mutation"]
+            mut.update({k: mut[v] if isinstance(v, str) else v for k, v in change.items()})
+            return json.dumps(obj)
+
+        with pytest.raises(ValueError, match="trees.jsonl line 2: corrupted_op"):
+            load_corpus(self._corrupt_line_2(tmp_path, edit))
+
+    def test_wrongop_target_without_operator_token_named(self, tmp_path):
+        def edit(obj):
+            target = obj["mutation"]["target_node"]
+            next(n for n in obj["nodes"] if n["id"] == target)["token"] = None
+            return json.dumps(obj)
+
+        with pytest.raises(ValueError, match="line 2: node .* does not carry a known operator"):
             load_corpus(self._corrupt_line_2(tmp_path, edit))
 
     def test_save_deterministic_bytes(self, tmp_path):

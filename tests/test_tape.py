@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import weighted_sum
+
 from treeformer import numerics as nm
 from treeformer.model import ModelConfig, init_params, top_down_step
 from treeformer.numerics import ParamStore, RowGrad, _add_rows, backward, constant
@@ -158,7 +160,7 @@ def run_program(program):
         pool.append(out)
     loss = None
     for t in terms:
-        term = nm.sum_all(nm.mul(pool[t], constant(rng.standard_normal(pool[t].shape))))
+        term = weighted_sum(pool[t], constant(rng.standard_normal(pool[t].shape)))
         loss = term if loss is None else nm.add(loss, term)
     return params, pool, loss
 
@@ -199,7 +201,7 @@ def test_one_array_for_two_parents_is_copied():
         shared = 2.0 * g
         return shared, shared
 
-    backward(nm.sum_all(nm._make(a.data + b.data, (a, b), bw)))
+    backward(weighted_sum(nm._make(a.data + b.data, (a, b), bw)))
     assert not np.shares_memory(a.grad, b.grad)
     a.grad += 1.0
     assert b.grad.tolist() == [2.0, 2.0, 2.0]
@@ -216,7 +218,7 @@ def _chain():
     params = ParamStore("float64")
     w = params.add_param("w", np.arange(6.0).reshape(2, 3))
     mid = nm.linear(w, constant(np.ones((3, 3))), constant(np.zeros(3)))
-    return w, mid, nm.sum_all(nm.scale(mid, 2.0))
+    return w, mid, weighted_sum(nm.scale(mid, 2.0))
 
 
 class TestConsumedGraph:
@@ -235,7 +237,7 @@ class TestConsumedGraph:
         backward(loss)
         w.grad = None
         with pytest.raises(RuntimeError, match="run the forward again"):
-            backward(nm.sum_all(mid))
+            backward(weighted_sum(mid))
 
     def test_leaves_stay_usable(self):
         """Parameters and constants are never consumed: a fresh forward over
@@ -244,7 +246,7 @@ class TestConsumedGraph:
         backward(loss)
         first, w.grad = w.grad, None
         mid = nm.linear(w, constant(np.ones((3, 3))), constant(np.zeros(3)))
-        backward(nm.sum_all(nm.scale(mid, 2.0)))
+        backward(weighted_sum(nm.scale(mid, 2.0)))
         assert w.grad.tobytes() == first.tobytes()
 
 
@@ -255,7 +257,7 @@ def test_dropped_intermediates_freed_held_keep_grad():
     held = nm.feed_forward(w, w, zeros, w, zeros)
     dropped = nm.add_layer_norm(held, held, constant(np.ones(4)), zeros)
     gone = weakref.ref(dropped.data)  # a Tensor takes no weak reference; its array lives as long
-    loss = nm.sum_all(nm.matmul(dropped, w))
+    loss = weighted_sum(nm.matmul(dropped, w))
     del dropped
     gc.disable()  # reference counting alone must free it
     try:

@@ -380,6 +380,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate((result.params, result.model_config), empty)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_named(self, batch_size):
+        """A negative size would score no batch and report 0.0 for loss and
+        accuracy, and 0 would fail inside ``range()``."""
+        corpus = classify_corpus()
+        cfg = model_config_for(tiny_train_config(), corpus)
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            evaluate((init_params(cfg, seed=0), cfg), corpus, batch_size=batch_size)
+
     def test_checkpoint_round_trip(self, tmp_path):
         corpus = classify_corpus()
         result = train(tiny_train_config(), corpus, eval_corpus=corpus, out_dir=tmp_path)
