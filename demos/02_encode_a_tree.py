@@ -43,8 +43,9 @@ batched = encode_tree(tree, params, config, method="batched")
 worst = max(np.abs(states.down[n] - batched.down[n]).max() for n in tree.nodes)
 print(f"|batched - naive| max:   {worst:.2e}")
 
-# gated softmax pooling, the classification head's input, turns the final
-# node states of each tree in a batch into one tree vector
+# pooling, the classification head's input, turns the final node states of
+# each tree in a batch into one tree vector: single-query attention whose
+# query is a learned gate vector
 _, _, D, schedule = batch_state_tensors([tree], params, config)
 h_tree = pooled_rows(D, schedule, params).data[0]
 print(f"pooled tree vector: shape {h_tree.shape}, norm {np.linalg.norm(h_tree):.3f}")

@@ -93,17 +93,16 @@ def batch_state_tensors(
     if not config.use_top_down:
         return X, S, S, schedule
 
-    # downs[i] holds the final states of depth i + 2, row pos[r] for row r;
-    # depth 1 reads S: the root's final state is its bottom-up state
+    # prev holds the final states of the parents' depth, row pos[r] for row r;
+    # it starts as S: a root's final state is its bottom-up state
+    prev, pos = S, np.arange(schedule.n_rows)
     downs, down_rows = [], []
     for group in schedule.top_down_levels:
         (bucket,) = group.buckets
         rows = bucket.child_rows[:, 0]
-        if downs:
-            h_parent = gather_rows(downs[-1], pos[bucket.parents])
-        else:
-            h_parent = gather_rows(S, bucket.parents)
-        downs.append(top_down_step(h_parent, gather_rows(S, rows), params, config))
+        h_parent = gather_rows(prev, pos[bucket.parents])
+        prev = top_down_step(h_parent, gather_rows(S, rows), params)
+        downs.append(prev)
         down_rows.append(rows)
         pos[rows] = np.arange(len(rows))
     D = S

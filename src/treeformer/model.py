@@ -6,7 +6,7 @@ first the children attend to each other (fraternal attention, with untied
 position scores so sibling order is seen separately from content), then the
 parent's initial embedding queries the children (parental attention), and a
 feed-forward layer with layer norms finishes the state. Top-down, a parent's
-final state is broadcast-added onto its children's bottom-up states and
+final state is added onto each of its children's bottom-up states and
 passed through a second feed-forward unit; the root's top-down state is its
 bottom-up state. Node vectors after the top-down pass are the final
 representations. ``bottom_up_step`` updates one level of parents at once,
@@ -17,8 +17,8 @@ run through ``numerics.attention``, one op (and one tape node) that splits
 heads, scores each parent's group of rows, normalizes, mixes and merges
 heads, with an analytic backward; so are the feed-forward layer and each
 residual add with its layer norm (``feed_forward``, ``add_layer_norm``). The
-task heads on top (a gated softmax pool for tree classification, a pointer
-and a repair head for wrong operators, and a per-node classifier) run
+task heads on top (a single-query attention pool for tree classification, a
+pointer and a repair head for wrong operators, and a per-node classifier) run
 batched, in ``training.task_forward``; evaluation runs them inside
 ``numerics.no_grad``, which records no tape.
 """
@@ -26,7 +26,7 @@ batched, in ``training.task_forward``; evaluation runs them inside
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -76,8 +76,6 @@ class ModelConfig:
     use_fraternal_attention: bool = True
     pe_before_parental: bool = False
     use_top_down: bool = True
-    per_head_scaling: bool = True
-    layer_norm_eps: float = 1e-5
 
     def __post_init__(self):
         for name in ("d", "heads"):
@@ -100,10 +98,6 @@ class ModelConfig:
             self.ffn_hidden = 4 * self.d
         if self.ffn_hidden < 1:
             raise ValueError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
-        if not 0 < self.layer_norm_eps < math.inf:
-            raise ValueError(
-                f"layer_norm_eps must be a finite number > 0, got {self.layer_norm_eps}"
-            )
 
     @property
     def d_head(self) -> int:
@@ -122,6 +116,14 @@ class ModelConfig:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ModelConfig":
+        """The config ``to_obj`` wrote; keys that are not fields, and required
+        fields that are missing, are refused by name."""
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"model_config keys that are not ModelConfig fields: {unknown}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+        if missing:
+            raise ValueError(f"model_config lacks the required keys {missing}")
         return cls(**obj)
 
 
@@ -131,13 +133,6 @@ class NodeStates:
 
     up: dict[int, np.ndarray]
     down: dict[int, np.ndarray]
-
-
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 def sinusoidal_rows(n: int, d: int, base: float = 100.0) -> np.ndarray:
@@ -177,7 +172,7 @@ def init_params(config: ModelConfig, seed: int = 0, dtype: str = "float64") -> P
         uniform(f"up.par.{proj}", d, d)
     uniform("up.frat.uq", d, d)
     uniform("up.frat.uk", d, d)
-    store.add_buffer("up.frat.pos", sinusoidal_rows(_next_pow2(config.max_children), d))
+    store.add_buffer("up.frat.pos", sinusoidal_rows(config.max_children, d))
 
     norm_pair("up.ln_frat")
     norm_pair("up.ln_attn")
@@ -236,13 +231,8 @@ def multi_head_attention(
     return matmul(mixed, wo)
 
 
-def _position_scores(params: ParamStore, config: ModelConfig, n: int, denom: float) -> Tensor:
-    table = params["up.frat.pos"]
-    if n > table.shape[0]:
-        raise BranchingOverflow(
-            f"{n} sibling slots exceed the position table ({table.shape[0]})"
-        )
-    rows = gather_rows(table, np.arange(n))
+def _position_scores(params: ParamStore, n: int, denom: float) -> Tensor:
+    rows = gather_rows(params["up.frat.pos"], np.arange(n))
     pq = matmul(rows, params["up.frat.uq"])
     pk = matmul(rows, params["up.frat.uk"])
     return scale(matmul(pq, transpose(pk, (1, 0))), 1.0 / denom)
@@ -267,11 +257,10 @@ def fraternal_attention(
     indices, comes from one table built at the widest block, and vanishes
     when position encoding is ablated.
     """
-    width = config.d_head if config.per_head_scaling else config.d
-    denom = math.sqrt(2.0 * width)
+    denom = math.sqrt(2.0 * config.d_head)
     pos = None
     if config.use_position_encoding:
-        pos = _position_scores(params, config, max(w for w, _ in blocks), denom)
+        pos = _position_scores(params, max(w for w, _ in blocks), denom)
     weights = [params[f"up.frat.{name}"] for name in ("wq", "wk", "wv", "wo")]
     return multi_head_attention(
         H, H, H, *weights, config.heads, denom, [(w, w, n) for w, n in blocks], pos
@@ -282,10 +271,8 @@ def _ffn(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     return feed_forward(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
-def _add_ln(x: Tensor, r: Tensor, params: ParamStore, name: str, config: ModelConfig) -> Tensor:
-    return add_layer_norm(
-        x, r, params[f"{name}.gamma"], params[f"{name}.beta"], eps=config.layer_norm_eps
-    )
+def _add_ln(x: Tensor, r: Tensor, params: ParamStore, name: str) -> Tensor:
+    return add_layer_norm(x, r, params[f"{name}.gamma"], params[f"{name}.beta"])
 
 
 def bottom_up_step(
@@ -310,35 +297,27 @@ def bottom_up_step(
     _check_branching(config, blocks)
     if config.use_fraternal_attention:
         frat = fraternal_attention(H, blocks, params, config)
-        H = _add_ln(frat, H, params, "up.ln_frat", config)
+        H = _add_ln(frat, H, params, "up.ln_frat")
     elif config.pe_before_parental:
         slots = np.concatenate([np.tile(np.arange(w), n) for w, n in blocks])
         H = add(H, gather_rows(params["up.frat.pos"], slots))
-    width = config.d_head if config.per_head_scaling else config.d
     weights = [params[f"up.par.{name}"] for name in ("wq", "wk", "wv", "wo")]
     attended = multi_head_attention(
-        e_parents, H, H, *weights, config.heads, math.sqrt(width),
+        e_parents, H, H, *weights, config.heads, math.sqrt(config.d_head),
         [(1, w, n) for w, n in blocks],
     )
-    mid = _add_ln(attended, e_parents, params, "up.ln_attn", config)
-    return _add_ln(_ffn(mid, params, "up.ffn"), mid, params, "up.ln_out", config)
+    mid = _add_ln(attended, e_parents, params, "up.ln_attn")
+    return _add_ln(_ffn(mid, params, "up.ffn"), mid, params, "up.ln_out")
 
 
-def top_down_step(
-    h_parent_down: Tensor,
-    H_children_up: Tensor,
-    params: ParamStore,
-    config: ModelConfig,
-) -> Tensor:
-    """Children's final states from the parent's final state; purely row-wise.
+def top_down_step(h_parent_down: Tensor, H_children_up: Tensor, params: ParamStore) -> Tensor:
+    """Children's final states from their parents' final states; purely row-wise.
 
-    ``h_parent_down`` is added to ``H_children_up`` ``[n, d]``: flat ``[n, d]``
-    parent rows aligned with the children, as the batched path passes, or one
-    ``[1, d]`` row broadcast over a node's children, as the naive recursion
-    passes.
+    ``h_parent_down`` holds one parent row per child, aligned with the
+    children's bottom-up rows ``H_children_up``; both are ``[n, d]``.
     """
-    mixed = _add_ln(H_children_up, h_parent_down, params, "down.ln_in", config)
-    return _add_ln(_ffn(mixed, params, "down.ffn"), mixed, params, "down.ln_out", config)
+    mixed = _add_ln(H_children_up, h_parent_down, params, "down.ln_in")
+    return _add_ln(_ffn(mixed, params, "down.ffn"), mixed, params, "down.ln_out")
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +386,9 @@ def naive_state_tensors(
         node = tree.node(nid)
         if not node.children:
             continue
+        n = len(node.children)
         H = concat([up[c] for c in node.children], axis=0)
-        block = top_down_step(down[nid], H, params, config)
+        block = top_down_step(gather_rows(down[nid], np.zeros(n, np.intp)), H, params)
         for j, c in enumerate(node.children):
             down[c] = gather_rows(block, [j])
     return e, up, down

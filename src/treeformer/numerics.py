@@ -348,14 +348,14 @@ def add_layer_norm(x, r, gamma, beta, eps: float = 1e-5) -> Tensor:
     """``x + r`` normalized over the last axis to zero mean and unit population
     variance, then ``* gamma + beta``, as one op.
 
-    ``r`` has ``x``'s shape or is one ``[1, d]`` row added to every row. The
-    op keeps only the normalized rows and their inverse deviations.
+    ``r`` has ``x``'s shape. The op keeps only the normalized rows and their
+    inverse deviations.
     """
     x, r, gamma, beta = (_as_tensor(t) for t in (x, r, gamma, beta))
     d = x.data.shape[-1]
-    if r.data.shape not in (x.data.shape, (1, d)) or {gamma.data.shape, beta.data.shape} != {(d,)}:
+    if r.data.shape != x.data.shape or {gamma.data.shape, beta.data.shape} != {(d,)}:
         raise ShapeError(
-            f"add_layer_norm takes r of shape {x.data.shape} or (1, {d}) and gamma/beta of shape"
+            f"add_layer_norm takes r of shape {x.data.shape} and gamma/beta of shape"
             f" ({d},); got {r.data.shape}, {gamma.data.shape} and {beta.data.shape}"
         )
     if not eps > 0:
@@ -374,8 +374,7 @@ def add_layer_norm(x, r, gamma, beta, eps: float = 1e-5) -> Tensor:
         gx -= xhat * dot
         gx *= inv
         flat_g = g.reshape(-1, d)
-        return (gx, _unbroadcast(gx, r.data.shape),
-                (flat_g * xhat.reshape(-1, d)).sum(axis=0), flat_g.sum(axis=0))
+        return gx, gx, (flat_g * xhat.reshape(-1, d)).sum(axis=0), flat_g.sum(axis=0)
 
     return _make(data, (x, r, gamma, beta), bw)
 

@@ -278,11 +278,14 @@ def gen_program_source(
 ) -> str:
     """Random well-formed program with >= ``min_ops`` binary operators.
 
-    The operator count is drawn around ``mean_ops`` and then hit exactly, so
-    the corpus mean tracks the requested density.
+    The operator count is drawn around ``mean_ops``, clipped to
+    ``[min_ops, 12]`` and then hit exactly, so the corpus mean tracks the
+    requested density; a mean below ``min_ops`` gives ``min_ops`` operators.
     """
     if min_ops > 12:
         raise ValueError(f"min_ops must be <= 12, the cap on operators per program; got {min_ops}")
+    if not 2 <= mean_ops <= 12:
+        raise ValueError(f"mean_ops must be a finite number in [2, 12]; got {mean_ops}")
     r = _roles(rng)
     target = int(np.clip(round(rng.normal(mean_ops, 1.5)), min_ops, 12))
     pool = _idiom_pool(r)

@@ -1,6 +1,7 @@
 """Task heads and losses, Adam with linear warmup, train/eval loops, metrics, and run artifacts.
 
 The cross-entropy is the fused ``numerics.cross_entropy``, re-exported here.
+The classify head pools each tree by single-query attention (``pooled_rows``).
 
 Runs are reproducible: all randomness flows from the config seed, artifacts
 carry no wall-clock data, and reruns in float64 match bit for bit.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -28,6 +30,7 @@ from .numerics import (
     Tensor,
     _replace_atomically,
     add,
+    attention,
     backward,
     constant,
     cross_entropy,
@@ -38,7 +41,7 @@ from .numerics import (
     no_grad,
     reshape,
     save_checkpoint,
-    softmax,
+    transpose,
 )
 from .scheduler import Schedule
 from .synth import Corpus
@@ -253,15 +256,14 @@ def _padded_slots(widths: list[int], rows: np.ndarray, dtype) -> tuple[np.ndarra
 
 
 def pooled_rows(D: Tensor, schedule: Schedule, params: ParamStore) -> Tensor:
-    """Gated softmax pool of each tree's final node rows: one [B, d] row per tree."""
-    # tree t's rows follow tree t - 1's, so the trees' rows in order are 0..n_rows - 1
-    widths = [len(index) for index in schedule.row_index]
-    idx, fill = _padded_slots(widths, np.arange(schedule.n_rows), D.dtype)
-    (b, width), d = idx.shape, D.shape[1]
-    rows = gather_rows(D, idx.reshape(-1))
-    gates = add(reshape(matmul(rows, params["pool.gate"]), (b, width)), constant(fill))
-    weights = reshape(softmax(gates), (b, 1, width))
-    return reshape(matmul(weights, reshape(rows, (b, width, d))), (b, d))
+    """Each tree's final node rows pooled into one row, ``[B, d]``: single-query,
+    single-head attention whose query is the learned ``pool.gate``, over the
+    tree's rows as keys and values (pooling by attention, as in Set Transformer)."""
+    # tree t's rows follow tree t - 1's, so each run of equal-size trees is one block
+    sizes = [len(index) for index in schedule.row_index]
+    blocks = [(1, n, len(list(run))) for n, run in itertools.groupby(sizes)]
+    q = gather_rows(transpose(params["pool.gate"], (1, 0)), np.zeros(len(sizes), np.intp))
+    return attention(q, D, D, 1, 1.0, blocks)
 
 
 def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -> TaskForward:
@@ -405,7 +407,12 @@ def evaluate(checkpoint, corpus: Corpus, predictions_path=None, batch_size: int 
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if isinstance(checkpoint, (str, os.PathLike)):
         params, extra = load_checkpoint(checkpoint)
-        cfg = ModelConfig.from_obj(extra["model_config"])
+        if not isinstance(extra.get("model_config"), dict):
+            raise CheckpointError(f"{checkpoint}: no 'model_config' object in the checkpoint")
+        try:
+            cfg = ModelConfig.from_obj(extra["model_config"])
+        except ValueError as err:  # an unknown, missing or invalid key, named
+            raise CheckpointError(f"{checkpoint}: {err}") from None
         _check_tensors(params, cfg, checkpoint)
         _check_digest(extra["vocab_digest"], corpus)
     else:

@@ -181,14 +181,14 @@ class TestIsolation:
 
 class TestLayoutHelpers:
     def test_padded_tree_rows(self):
-        """Pooling pads trees to the widest one; the padded slots carry no weight."""
+        """Each tree pools its own rows only: changing a long tree's rows leaves a
+        shorter tree's pooled row bit for bit unchanged."""
         schedule = build_schedule([chain(4), chain(2)])
         params = init_params(config(), seed=10)
         rng = np.random.default_rng(10)
         D = rng.standard_normal((schedule.n_rows, 8))
         before = pooled_rows(constant(D), schedule, params).data
         assert before.shape == (2, 8)
-        # the short tree's padded slots read rows of the long one
         D[list(schedule.row_index[0].values())] = rng.standard_normal((4, 8)) * 1e3
         after = pooled_rows(constant(D), schedule, params).data
         assert after[1].tobytes() == before[1].tobytes()

@@ -88,6 +88,18 @@ class TestSynthCommands:
         }
         assert not (tmp_path / "w").exists()
 
+    def test_wrongop_mean_ops_above_cap_rejected(self, capsys, tmp_path):
+        code, _, err = run_fail(
+            capsys, "synth-wrongop", "--programs", "5", "--mean-ops", "20",
+            "--out", str(tmp_path / "w"),
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "mean_ops must be a finite number in [2, 12]; got 20.0",
+        }
+        assert not (tmp_path / "w").exists()
+
     def test_bad_params_json_error(self, capsys, tmp_path):
         code, _, err = run_fail(
             capsys, "synth-classify", "--classes", "40", "--out", str(tmp_path / "x")

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import chain, make_tree
+from conftest import chain, make_tree, weighted_sum
 from treeformer.batched import batch_state_tensors
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
 from treeformer.model import (
@@ -21,7 +23,17 @@ from treeformer.model import (
     sinusoidal_rows,
     top_down_step,
 )
-from treeformer.numerics import MASK_FILL, constant, softmax
+from treeformer.numerics import (
+    MASK_FILL,
+    ParamStore,
+    backward,
+    concat,
+    constant,
+    gather_rows,
+    matmul,
+    reshape,
+    softmax,
+)
 from treeformer.scheduler import build_schedule
 from treeformer.synth import MutationRecord, gen_wrongop_corpus, mutate_operator
 from treeformer.training import pooled_rows, task_forward
@@ -354,7 +366,8 @@ class TestTopDownStep:
         rng = np.random.default_rng(8)
         h = rng.standard_normal((1, cfg.d))
         row = rng.standard_normal(cfg.d)
-        out = top_down_step(constant(h), constant(np.stack([row, row])), params, cfg).data
+        parents = gather_rows(constant(h), [0, 0])
+        out = top_down_step(parents, constant(np.stack([row, row])), params).data
         assert np.array_equal(out[0], out[1])
 
     def test_direct_transcription_oracle(self):
@@ -363,7 +376,8 @@ class TestTopDownStep:
         rng = np.random.default_rng(9)
         h_parent = rng.standard_normal((1, cfg.d))
         H = rng.standard_normal((3, cfg.d))
-        got = top_down_step(constant(h_parent), constant(H), params, cfg).data
+        parents = gather_rows(constant(h_parent), [0, 0, 0])
+        got = top_down_step(parents, constant(H), params).data
         expected = oracle_top_down(h_parent[0], H, np_params(params))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -532,8 +546,6 @@ class TestGlobalContext:
                 X, _, D, schedule = batch_state_tensors([tree], params, cfg)
                 u = constant(rng.standard_normal((cfg.d, 1)))
                 row = schedule.row_index[0][i]
-                from treeformer.numerics import gather_rows
-
                 backward(matmul(gather_rows(D, [row]), u))
                 for _ in range(5):
                     j = int(rng.integers(len(tree)))
@@ -574,6 +586,44 @@ class TestPool:
         for t, index in enumerate(schedule.row_index):
             rows = D[[index[nid] for nid in sorted(index)]]
             np.testing.assert_allclose(got[t], oracle_pool(rows, gate), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_pool_matches_per_tree_oracle(sizes, seed):
+    """Over batches of mixed tree sizes, with single-node trees and runs of
+    equal sizes among them, each pooled row equals the per-tree oracle, and
+    the gradients equal those of the same pool built tree by tree from
+    generic tape ops (gate scores, softmax, weighted sum).
+
+    The gradients are compared with that tape, not with ``grad_check``: its
+    fixed 1e-8 floor read 1.6e-6 at sizes [1, 1, 1, 2, 2, 2, 4, 4], seed 0,
+    on a correct coordinate of -1.24e-5."""
+    schedule = build_schedule([chain(n) for n in sizes])
+    rng = np.random.default_rng(seed)
+    params = ParamStore("float64")
+    D = params.add_param("D", rng.standard_normal((schedule.n_rows, 4)))
+    gate = params.add_param("pool.gate", rng.standard_normal((4, 1)))
+    got = pooled_rows(D, schedule, params).data
+    for t, index in enumerate(schedule.row_index):
+        rows = D.data[[index[nid] for nid in sorted(index)]]
+        assert np.abs(got[t] - oracle_pool(rows, gate.data)).max() <= 1e-12
+    C = constant(rng.standard_normal(got.shape))
+
+    def tree_by_tree():
+        pooled = []
+        for index in schedule.row_index:
+            rows = gather_rows(D, [index[nid] for nid in sorted(index)])
+            pooled.append(matmul(softmax(reshape(matmul(rows, gate), (1, -1))), rows))
+        return concat(pooled)
+
+    grads = []
+    for pool in (lambda: pooled_rows(D, schedule, params), tree_by_tree):
+        params.zero_grads()
+        backward(weighted_sum(pool(), C))
+        grads.append((D.grad, gate.grad))
+    for got_grad, want_grad in zip(*grads):
+        assert np.abs(got_grad - want_grad).max() <= 1e-12
 
 
 def wrongop_config(**kw):
@@ -668,13 +718,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^ffn_hidden must be >= 1, got {value}$"):
             small_config(ffn_hidden=value)
 
-    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
-    def test_bad_layer_norm_eps_named(self, value):
-        """Refused when the config is made, not at the first forward (0.0) or
-        as a non-finite state deep in a run (nan)."""
-        with pytest.raises(ValueError, match=r"^layer_norm_eps must be a finite number > 0"):
-            small_config(layer_norm_eps=value)
-
     def test_round_trip(self):
         cfg = small_config()
         assert ModelConfig.from_obj(cfg.to_obj()) == cfg
@@ -687,14 +730,3 @@ def test_sinusoidal_rows_distinct():
         for j in range(i + 1, 16):
             assert np.abs(table[i] - table[j]).max() > 1e-4
 
-
-def test_per_head_scaling_flag_changes_scores():
-    """The scaling denominator can use the per-head width or the full width."""
-    rng = np.random.default_rng(40)
-    H = rng.standard_normal((3, 8))
-    outs = []
-    for flag in (True, False):
-        cfg = small_config(per_head_scaling=flag)
-        params = init_params(cfg, seed=41)
-        outs.append(fraternal_attention(constant(H), one_parent(H), params, cfg).data)
-    assert np.abs(outs[0] - outs[1]).max() > 1e-6

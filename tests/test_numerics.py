@@ -95,7 +95,7 @@ class TestLayerNorm:
         with pytest.raises(ShapeError, match=r"got \(2, 4\), \(3,\) and \(4,\)"):
             _ln(constant(np.zeros((2, 4))), constant(np.ones(3)), constant(np.zeros(4)))
 
-    @pytest.mark.parametrize("r_shape", [(2, 4), (1, 3), (3,), (4,)])
+    @pytest.mark.parametrize("r_shape", [(2, 4), (1, 3), (3,), (4,), (1, 4)])
     def test_residual_mismatch(self, r_shape):
         with pytest.raises(ShapeError, match="add_layer_norm takes r of shape"):
             add_layer_norm(constant(np.zeros((3, 4))), constant(np.zeros(r_shape)), self.G, self.B)
@@ -134,7 +134,7 @@ def test_fused_forwards_equal_separate_numpy_steps():
     assert linear(c(x), c(w1), c(b1)).data.tobytes() == pre.tobytes()
     got = feed_forward(c(x), c(w1), c(b1), c(w2), c(b2)).data
     assert got.tobytes() == (np.matmul(hidden, w2) + b2).tobytes()
-    for res in (r, row):
+    for res in (r, np.repeat(row, 7, axis=0)):
         got = add_layer_norm(c(x), c(res), c(gamma), c(beta)).data
         assert got.tobytes() == layer_norm(x + res).tobytes()
 
@@ -277,7 +277,8 @@ def _(p):
 
 @_case("add_layer_norm_row")
 def _(p):
-    return weighted_sum(add_layer_norm(p["x34"], p["r14"], p["g4"], p["b4"]), C34)
+    row = nm.gather_rows(p["r14"], np.zeros(3, np.intp))  # one row read per row of x
+    return weighted_sum(add_layer_norm(p["x34"], row, p["g4"], p["b4"]), C34)
 
 
 @_case("linear")
@@ -558,7 +559,7 @@ class TestDeterminism:
         b = rng.standard_normal(5)
 
         def run():
-            t = add_layer_norm(constant(x), constant(x[:1]), constant(g), constant(b))
+            t = add_layer_norm(constant(x), constant(x[::-1]), constant(g), constant(b))
             t = softmax(matmul(t, constant(x)))
             return t.data.tobytes()
 

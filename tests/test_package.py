@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import treeformer
 from treeformer import numerics
+from treeformer.model import ModelConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +31,21 @@ def test_every_numerics_function_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(public - used) == []
+
+
+def test_every_model_config_field_is_set_outside_the_model():
+    """Each ``ModelConfig`` field is passed by keyword or named as a string key
+    somewhere in ``src/`` outside ``model.py``, in ``perfbench/`` or in
+    ``demos/``. A field that only ``model.py`` reads is a constant, not a
+    setting."""
+    paths = [p for p in (ROOT / "src").rglob("*.py") if p.name != "model.py"]
+    paths += [*(ROOT / "perfbench").rglob("*.py"), *(ROOT / "demos").rglob("*.py")]
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.keyword):
+                named.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    fields = {field.name for field in dataclasses.fields(ModelConfig)}
+    assert sorted(fields - named) == []

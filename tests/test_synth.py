@@ -143,6 +143,14 @@ class TestWrongopCorpus:
         for rec in gen_wrongop_corpus(5, 12, seed=0):
             assert len(operator_nodes(rec.tree)) == 12
 
+    @pytest.mark.parametrize("mean_ops", [20.0, 12.5, 1.5, -5.0, float("nan"), float("inf")])
+    def test_mean_ops_outside_range_refused(self, mean_ops):
+        """Once clipped every program to 12 (20.0) or 2 (-5.0) operators, and
+        failed inside numpy on nan and inf."""
+        message = rf"^mean_ops must be a finite number in \[2, 12\]; got {mean_ops}$"
+        with pytest.raises(ValueError, match=message):
+            gen_wrongop_corpus(5, 2, seed=0, mean_ops=mean_ops)
+
     def test_deterministic(self):
         a = gen_wrongop_corpus(15, 2, seed=21)
         b = gen_wrongop_corpus(15, 2, seed=21)

@@ -82,7 +82,7 @@ def programs(draw):
     ops = []
     for _ in range(draw(st.integers(1, 12))):
         op, a = draw(st.sampled_from(OPS)), pick()
-        if op in ("add", "add_layer_norm"):  # None: a learnable [1, D] row, broadcast
+        if op in ("add", "add_layer_norm"):  # None: a learnable [1, D] row, read per row
             ops.append((op, a, draw(st.none() | st.just(pick(rows[a])))))
         elif op == "concat":
             b = pick()
@@ -152,7 +152,10 @@ def run_program(program):
             idx, b, src = more
             out = nm.scatter_rows(x, idx, nm.gather_rows(pool[b], src))
         elif op == "add_layer_norm":
-            out = nm.add_layer_norm(x, bias if more[0] is None else pool[more[0]], gamma, beta)
+            r = pool[more[0]] if more[0] is not None else nm.gather_rows(
+                bias, np.zeros(x.shape[0], np.intp)
+            )
+            out = nm.add_layer_norm(x, r, gamma, beta)
         else:
             k, v, positioned = pool[more[0]], pool[more[1]], more[2]
             out = nm.attention(x, k, v, 2, np.sqrt(2.0), [(x.shape[0], k.shape[0], 1)],
@@ -305,7 +308,7 @@ def test_top_down_step_holds_few_row_copies():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = top_down_step(parents, children, params, cfg)
+        out = top_down_step(parents, children, params)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()

@@ -9,8 +9,8 @@ from treeformer import training
 from treeformer.batched import encode_batch
 from treeformer.checks import full_model_gradcheck
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
-from treeformer.model import ModelConfig, encode_tree, init_params
-from treeformer.numerics import CheckpointError, NonFiniteError, ParamStore
+from treeformer.model import ModelConfig, encode_tree, init_params, sinusoidal_rows
+from treeformer.numerics import CheckpointError, NonFiniteError, ParamStore, save_checkpoint
 from treeformer.synth import Corpus, MutationRecord, gen_classify_corpus, gen_wrongop_corpus
 from treeformer.training import (
     AdamState,
@@ -409,6 +409,50 @@ class TestEvaluate:
         manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != "pool.gate"]
         path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match=r"'pool\.gate' of the model config is missing"):
+            evaluate(path, corpus)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("drop", "no 'model_config' object"),
+        # written before per-head scaling and the layer-norm eps became constants
+        ("old", "not ModelConfig fields: ['layer_norm_eps', 'per_head_scaling']"),
+        ("required", "lacks the required keys ['d']"),
+    ], ids=["missing", "removed-keys", "missing-d"])
+    def test_checkpoint_model_config_checked(self, tmp_path, edit, message):
+        """A missing, unknown or incomplete model config is a CheckpointError
+        naming the file and the keys, not a raw KeyError or TypeError."""
+        corpus = classify_corpus()
+        train(tiny_train_config(epochs=1), corpus, out_dir=tmp_path)
+        path = tmp_path / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        if edit == "drop":
+            del manifest["extra"]["model_config"]
+        elif edit == "old":
+            manifest["extra"]["model_config"].update(per_head_scaling=True, layer_norm_eps=1e-5)
+        else:
+            del manifest["extra"]["model_config"]["d"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError) as err:
+            evaluate(path, corpus)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+    def test_power_of_two_position_table_refused(self, tmp_path):
+        """The position table holds exactly ``max_children`` rows. A checkpoint
+        whose table was rounded up to a power of two (16 rows for 12) is
+        refused by the shape of ``up.frat.pos``."""
+        corpus = classify_corpus()
+        cfg = model_config_for(tiny_train_config(max_children=12), corpus)
+        params = init_params(cfg, seed=0)
+        old = ParamStore(params.dtype)
+        for name in params.names():
+            old.add_param(name, params[name].data)
+        old.add_buffer("up.frat.pos", sinusoidal_rows(16, cfg.d))
+        path = tmp_path / "old.json"
+        save_checkpoint(old, path, extra={
+            "model_config": cfg.to_obj(), "vocab_digest": corpus.vocab.digest(),
+        })
+        with pytest.raises(CheckpointError, match=(
+            r"'up\.frat\.pos' has shape \(16, 16\), the model config gives \(12, 16\)"
+        )):
             evaluate(path, corpus)
 
     def test_digest_mismatch_refused(self, tmp_path):
