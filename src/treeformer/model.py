@@ -25,6 +25,7 @@ batched, in ``training.task_forward``; evaluation runs them inside
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -38,6 +39,7 @@ from .numerics import (
     add_layer_norm,
     attention,
     concat,
+    constant,
     feed_forward,
     gather_rows,
     matmul,
@@ -78,9 +80,18 @@ class ModelConfig:
     use_top_down: bool = True
 
     def __post_init__(self):
-        for name in ("d", "heads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the switches are bools; every size is an int >= 1 (not a bool), or
+        # None where None is its default
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, bool):
+                if not isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be True or False, got {value!r}")
+            elif value is not None or f.default is not None:
+                if type(value) is not int:
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                if value < 1:
+                    raise ValueError(f"{f.name} must be >= 1, got {value}")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
         if self.d % 2 != 0:
@@ -92,12 +103,8 @@ class ModelConfig:
         ]
         if sum(specs) != 1:
             raise ValueError("exactly one head spec must be active")
-        if self.max_children < 1:
-            raise ValueError("max_children must be >= 1")
         if self.ffn_hidden is None:
             self.ffn_hidden = 4 * self.d
-        if self.ffn_hidden < 1:
-            raise ValueError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
 
     @property
     def d_head(self) -> int:
@@ -135,17 +142,20 @@ class NodeStates:
     down: dict[int, np.ndarray]
 
 
+@functools.cache
 def sinusoidal_rows(n: int, d: int, base: float = 100.0) -> np.ndarray:
     """Fixed position table: interleaved sines/cosines over geometric frequencies.
 
     The frequency base is kept small: sibling positions only span a couple of
     dozen slots, and a large base would leave the low-frequency columns
-    effectively constant over that range.
+    effectively constant over that range. The model reads it at
+    ``(max_children, d)``; it is computed once per shape and read-only.
     """
     pos = np.arange(n, dtype=np.float64)[:, None]
     idx = np.arange(d, dtype=np.float64)[None, :]
     angles = pos / np.power(base, (2.0 * np.floor(idx / 2.0)) / d)
     table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
+    table.flags.writeable = False
     return table
 
 
@@ -172,7 +182,6 @@ def init_params(config: ModelConfig, seed: int = 0, dtype: str = "float64") -> P
         uniform(f"up.par.{proj}", d, d)
     uniform("up.frat.uq", d, d)
     uniform("up.frat.uk", d, d)
-    store.add_buffer("up.frat.pos", sinusoidal_rows(config.max_children, d))
 
     norm_pair("up.ln_frat")
     norm_pair("up.ln_attn")
@@ -231,8 +240,8 @@ def multi_head_attention(
     return matmul(mixed, wo)
 
 
-def _position_scores(params: ParamStore, n: int, denom: float) -> Tensor:
-    rows = gather_rows(params["up.frat.pos"], np.arange(n))
+def _position_scores(params: ParamStore, config: ModelConfig, n: int, denom: float) -> Tensor:
+    rows = constant(sinusoidal_rows(config.max_children, config.d)[:n], params.dtype)
     pq = matmul(rows, params["up.frat.uq"])
     pk = matmul(rows, params["up.frat.uk"])
     return scale(matmul(pq, transpose(pk, (1, 0))), 1.0 / denom)
@@ -260,7 +269,7 @@ def fraternal_attention(
     denom = math.sqrt(2.0 * config.d_head)
     pos = None
     if config.use_position_encoding:
-        pos = _position_scores(params, max(w for w, _ in blocks), denom)
+        pos = _position_scores(params, config, max(w for w, _ in blocks), denom)
     weights = [params[f"up.frat.{name}"] for name in ("wq", "wk", "wv", "wo")]
     return multi_head_attention(
         H, H, H, *weights, config.heads, denom, [(w, w, n) for w, n in blocks], pos
@@ -300,7 +309,8 @@ def bottom_up_step(
         H = _add_ln(frat, H, params, "up.ln_frat")
     elif config.pe_before_parental:
         slots = np.concatenate([np.tile(np.arange(w), n) for w, n in blocks])
-        H = add(H, gather_rows(params["up.frat.pos"], slots))
+        table = sinusoidal_rows(config.max_children, config.d)
+        H = add(H, constant(table[slots], params.dtype))
     weights = [params[f"up.par.{name}"] for name in ("wq", "wk", "wv", "wo")]
     attended = multi_head_attention(
         e_parents, H, H, *weights, config.heads, math.sqrt(config.d_head),

@@ -506,10 +506,11 @@ def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:
 
 
 class ParamStore:
-    """Named tensors: learnable parameters plus fixed buffers.
+    """Named learnable tensors of one dtype.
 
-    Name paths are unique across both sets; iteration is sorted by name so
-    every consumer sees one deterministic order.
+    Names are unique; iteration is sorted by name so every consumer sees one
+    deterministic order. Fixed tables the model derives from its config (the
+    position table) are computed where they are read, not stored here.
     """
 
     def __init__(self, dtype: str = "float64"):
@@ -517,39 +518,22 @@ class ParamStore:
             raise ValueError(f"unsupported dtype {dtype!r}")
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
-        self.buffers: dict[str, Tensor] = {}
-
-    def _check_name(self, name: str) -> None:
-        if name in self.params or name in self.buffers:
-            raise ValueError(f"duplicate tensor name {name!r}")
 
     def add_param(self, name: str, data) -> Tensor:
-        self._check_name(name)
+        if name in self.params:
+            raise ValueError(f"duplicate tensor name {name!r}")
         t = Tensor(np.asarray(data, dtype=_FLOAT_DTYPES[self.dtype]), requires_grad=True)
         self.params[name] = t
         return t
 
-    def add_buffer(self, name: str, data) -> Tensor:
-        self._check_name(name)
-        t = Tensor(np.asarray(data, dtype=_FLOAT_DTYPES[self.dtype]))
-        self.buffers[name] = t
-        return t
-
     def __getitem__(self, name: str) -> Tensor:
-        if name in self.params:
-            return self.params[name]
-        if name in self.buffers:
-            return self.buffers[name]
-        raise KeyError(name)
+        return self.params[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self.params or name in self.buffers
+        return name in self.params
 
     def names(self) -> list[str]:
         return sorted(self.params)
-
-    def buffer_names(self) -> list[str]:
-        return sorted(self.buffers)
 
     def zero_grads(self) -> None:
         for name in self.names():
@@ -567,28 +551,17 @@ def save_checkpoint(store: ParamStore, manifest_path, blob_path=None, extra: dic
     """
     manifest_path = str(manifest_path)
     blob_path = str(blob_path) if blob_path else manifest_path + ".bin"
-    entries = []
-    offset = 0
-    chunks = []
-    for name, learnable in [(n, True) for n in store.names()] + [
-        (n, False) for n in store.buffer_names()
-    ]:
+    entries, chunks, offset = [], [], 0
+    for name in store.names():
         t = store[name]
-        raw = t.data.astype("<" + t.data.dtype.str[1:], copy=False).tobytes()
+        chunks.append(t.data.astype("<" + t.dtype.str[1:], copy=False).tobytes())
         entries.append(
-            {
-                "name": name,
-                "shape": list(t.data.shape),
-                "dtype": str(t.data.dtype),
-                "offset": offset,
-                "learnable": learnable,
-            }
+            {"name": name, "shape": list(t.shape), "dtype": str(t.dtype), "offset": offset}
         )
-        chunks.append(raw)
-        offset += len(raw)
+        offset += len(chunks[-1])
     blob = b"".join(chunks)
     manifest = {
-        "format_version": 2,
+        "format_version": 3,
         "dtype": store.dtype,
         "blob": blob_path.rsplit("/", 1)[-1],
         "blob_bytes": len(blob),
@@ -617,39 +590,44 @@ def _replace_atomically(path: str, data: bytes) -> None:
         raise
 
 
+def _key(obj, key: str, where: str):
+    """``obj[key]``; a missing key is a CheckpointError naming ``where`` and the key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise CheckpointError(f"{where} has no {key!r}")
+    return obj[key]
+
+
 def load_checkpoint(manifest_path, blob_path=None) -> tuple[ParamStore, dict]:
-    """Read a checkpoint; a blob whose length or sha256 differs from the manifest's is refused."""
+    """Read a format-3 checkpoint; another version, a missing manifest key, or a blob
+    whose length or sha256 differs from the manifest's is a CheckpointError."""
     manifest_path = str(manifest_path)
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format_version") != 2:
+    version = _key(manifest, "format_version", manifest_path)
+    if version != 3:
         raise CheckpointError(
-            f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
+            f"{manifest_path}: unsupported checkpoint format_version {version!r}; only 3 is read"
         )
     if blob_path is None:
         prefix = manifest_path.rsplit("/", 1)[0] if "/" in manifest_path else "."
-        blob_path = prefix + "/" + manifest["blob"]
+        blob_path = prefix + "/" + _key(manifest, "blob", manifest_path)
     with open(blob_path, "rb") as fh:
         blob = fh.read()
-    if len(blob) != manifest["blob_bytes"]:
+    expected = _key(manifest, "blob_bytes", manifest_path)
+    if len(blob) != expected:
         raise CheckpointError(
-            f"{blob_path}: {len(blob)} bytes, manifest {manifest_path} records"
-            f" {manifest['blob_bytes']}"
+            f"{blob_path}: {len(blob)} bytes, manifest {manifest_path} records {expected}"
         )
-    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+    if hashlib.sha256(blob).hexdigest() != _key(manifest, "blob_sha256", manifest_path):
         raise CheckpointError(f"{blob_path}: sha256 differs from manifest {manifest_path}")
-    store = ParamStore(dtype=manifest["dtype"])
-    for entry in manifest["tensors"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
-        arr = np.frombuffer(
-            blob, dtype=dtype.newbyteorder("<"), count=count, offset=start
-        ).astype(dtype).reshape(entry["shape"])
-        if entry["learnable"]:
-            store.add_param(entry["name"], arr)
-        else:
-            store.add_buffer(entry["name"], arr)
+    store = ParamStore(dtype=_key(manifest, "dtype", manifest_path))
+    for i, entry in enumerate(_key(manifest, "tensors", manifest_path)):
+        where = f"{manifest_path}: tensor entry {i}"
+        shape = _key(entry, "shape", where)
+        dtype = np.dtype(_key(entry, "dtype", where))
+        count = int(np.prod(shape))
+        arr = np.frombuffer(blob, dtype.newbyteorder("<"), count, _key(entry, "offset", where))
+        store.add_param(_key(entry, "name", where), arr.astype(dtype).reshape(shape))
     return store, manifest.get("extra", {})
 
 

@@ -376,9 +376,12 @@ def gen_wrongop_corpus(
 # ---------------------------------------------------------------------------
 # corpus files: trees.jsonl + meta.json sidecar
 
+TASKS = ("classify", "wrongop", "node-classify")
+
+
 @dataclass
 class Corpus:
-    task: str  # classify | wrongop | node-classify
+    task: str  # one of TASKS
     trees: list[SyntaxTree]
     records: list[MutationRecord] | None
     vocab: Vocabulary
@@ -469,10 +472,18 @@ def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> Mu
 
 
 def load_corpus(corpus_dir) -> Corpus:
-    with open(os.path.join(corpus_dir, "meta.json"), "r", encoding="utf-8") as fh:
+    """A corpus directory; a ``meta.json`` without ``task`` or ``vocabulary``, or
+    naming an unknown task, is a ValueError naming the file."""
+    meta_path = os.path.join(corpus_dir, "meta.json")
+    with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    vocab = Vocabulary.from_obj(meta["vocabulary"])
+    for key in ("task", "vocabulary"):
+        if not isinstance(meta, dict) or key not in meta:
+            raise ValueError(f"{meta_path}: no {key!r} key")
     task = meta["task"]
+    if task not in TASKS:
+        raise ValueError(f"{meta_path}: unknown task {task!r}; expected one of {list(TASKS)}")
+    vocab = Vocabulary.from_obj(meta["vocabulary"])
     trees_path = os.path.join(corpus_dir, "trees.jsonl")
     if task == "wrongop":
         with open(trees_path, "r", encoding="utf-8") as fh:

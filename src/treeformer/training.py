@@ -44,7 +44,7 @@ from .numerics import (
     transpose,
 )
 from .scheduler import Schedule
-from .synth import Corpus
+from .synth import TASKS, Corpus
 from .trees import branching_stats, tree_arrays
 
 
@@ -89,7 +89,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.precision not in ("float64", "float32"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.task not in ("classify", "wrongop", "node-classify"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
 
 
@@ -388,11 +388,10 @@ def _check_digest(expected: str, corpus: Corpus):
 def _check_tensors(params: ParamStore, cfg: ModelConfig, path) -> None:
     """Refuse a checkpoint whose tensor names or shapes differ from what ``cfg`` builds."""
     want = init_params(cfg, dtype=params.dtype)
-    names = set(want.names() + want.buffer_names())
-    for name in sorted(names | set(params.names() + params.buffer_names())):
+    for name in sorted(set(want.names() + params.names())):
         if name not in params:
             raise CheckpointError(f"{path}: tensor {name!r} of the model config is missing")
-        if name not in names:
+        if name not in want:
             raise CheckpointError(f"{path}: tensor {name!r} is not in the model config")
         got, expected = params[name].shape, want[name].shape
         if got != expected:
@@ -409,6 +408,8 @@ def evaluate(checkpoint, corpus: Corpus, predictions_path=None, batch_size: int 
         params, extra = load_checkpoint(checkpoint)
         if not isinstance(extra.get("model_config"), dict):
             raise CheckpointError(f"{checkpoint}: no 'model_config' object in the checkpoint")
+        if not isinstance(extra.get("vocab_digest"), str):
+            raise CheckpointError(f"{checkpoint}: no 'vocab_digest' string in the checkpoint")
         try:
             cfg = ModelConfig.from_obj(extra["model_config"])
         except ValueError as err:  # an unknown, missing or invalid key, named

@@ -151,15 +151,6 @@ def depths(tree: SyntaxTree) -> dict[int, int]:
     return out
 
 
-def heights(tree: SyntaxTree) -> dict[int, int]:
-    """Height per node id; leaves have height 0."""
-    out: dict[int, int] = {}
-    for nid in reversed(preorder(tree)):
-        kids = tree.node(nid).children
-        out[nid] = 1 + max(out[c] for c in kids) if kids else 0
-    return out
-
-
 class TreeArrays(NamedTuple):
     """A tree's structure as int arrays, one entry per row.
 

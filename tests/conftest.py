@@ -1,7 +1,7 @@
 import numpy as np
 
 from treeformer import numerics as nm
-from treeformer.trees import SyntaxNode, SyntaxTree
+from treeformer.trees import SyntaxNode, SyntaxTree, preorder
 
 
 def weighted_sum(y, weights=None):
@@ -33,6 +33,15 @@ def chain(n):
 
 def star(k):
     return make_tree({0: list(range(1, k + 1))}, root=0)
+
+
+def heights(tree: SyntaxTree) -> dict[int, int]:
+    """Height per node id by recursion over preorder; leaves have height 0."""
+    out: dict[int, int] = {}
+    for nid in reversed(preorder(tree)):
+        kids = tree.node(nid).children
+        out[nid] = 1 + max(out[c] for c in kids) if kids else 0
+    return out
 
 
 def brute_force_valid(tree: SyntaxTree) -> bool:

@@ -70,7 +70,7 @@ def oracle_pool(rows, gate):
 
 
 def np_params(params):
-    return {name: params[name].data for name in params.names() + params.buffer_names()}
+    return {name: params[name].data for name in params.names()}
 
 
 def one_parent(H):
@@ -122,7 +122,8 @@ def oracle_pos_scores(P, n, uq, uk, denom):
 
 def oracle_bottom_up(e, H, p, cfg):
     denom_f = math.sqrt(2 * cfg.d_head)
-    pos = oracle_pos_scores(p["up.frat.pos"], H.shape[0], p["up.frat.uq"], p["up.frat.uk"], denom_f)
+    table = sinusoidal_rows(cfg.max_children, cfg.d)
+    pos = oracle_pos_scores(table, H.shape[0], p["up.frat.uq"], p["up.frat.uk"], denom_f)
     frat = oracle_mha(
         H, H, H, p["up.frat.wq"], p["up.frat.wk"], p["up.frat.wv"], p["up.frat.wo"],
         cfg.heads, denom_f, pos=pos,
@@ -498,7 +499,7 @@ class TestAblations:
         H = rng.standard_normal((3, cfg.d))
         got = bottom_up_step(constant(e), constant(H), one_parent(H), params, cfg).data
         p = np_params(params)
-        H1 = H + p["up.frat.pos"][:3]
+        H1 = H + sinusoidal_rows(cfg.max_children, cfg.d)[:3]
         attended = oracle_mha(
             e, H1, H1, p["up.par.wq"], p["up.par.wk"], p["up.par.wv"], p["up.par.wo"],
             cfg.heads, math.sqrt(cfg.d_head),
@@ -705,7 +706,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(d=9, heads=2)
 
-    @pytest.mark.parametrize("field, value", [("heads", 0), ("heads", -4), ("d", 0), ("d", -8)])
+    @pytest.mark.parametrize("field, value", [
+        ("heads", 0), ("heads", -4), ("d", 0), ("d", -8), ("max_children", 0),
+        ("classify_classes", 0),
+    ])
     def test_non_positive_size_named(self, field, value):
         """Checked before ``d % heads``, so heads=0 is no ZeroDivisionError."""
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
@@ -718,6 +722,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^ffn_hidden must be >= 1, got {value}$"):
             small_config(ffn_hidden=value)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_children", "16", "an integer"),
+        ("d", 8.0, "an integer"),
+        ("heads", True, "an integer"),
+        ("ffn_hidden", 2.5, "an integer"),
+        ("classify_classes", "3", "an integer"),
+        ("use_top_down", "no", "True or False"),
+        ("pe_before_parental", 0, "True or False"),
+    ])
+    def test_field_type_named(self, field, value, message):
+        """A string size raised a bare TypeError from ``<``, a float ``d`` failed
+        inside ``init_params``, and a non-bool switch was accepted as truthy."""
+        with pytest.raises(ValueError, match=f"^{field} must be {message}, got {value!r}$"):
+            small_config(**{field: value})
+
     def test_round_trip(self):
         cfg = small_config()
         assert ModelConfig.from_obj(cfg.to_obj()) == cfg
@@ -726,6 +745,7 @@ class TestConfig:
 def test_sinusoidal_rows_distinct():
     table = sinusoidal_rows(16, 8)
     assert table.shape == (16, 8)
+    assert sinusoidal_rows(16, 8) is table and not table.flags.writeable
     for i in range(16):
         for j in range(i + 1, 16):
             assert np.abs(table[i] - table[j]).max() > 1e-4

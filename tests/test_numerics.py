@@ -1,3 +1,5 @@
+import json
+import re
 import zlib
 
 import numpy as np
@@ -624,8 +626,9 @@ class TestParamStore:
     def test_duplicate_name(self):
         store = ParamStore()
         store.add_param("a", np.zeros(2))
-        with pytest.raises(ValueError):
-            store.add_buffer("a", np.zeros(2))
+        with pytest.raises(ValueError, match="duplicate tensor name 'a'"):
+            store.add_param("a", np.ones(2))
+        assert store["a"].data.tolist() == [0.0, 0.0]
 
     def test_sorted_iteration(self):
         store = ParamStore()
@@ -646,15 +649,17 @@ class TestCheckpoint:
         store = ParamStore(dtype)
         store.add_param("w.a", rng.standard_normal((3, 4)))
         store.add_param("w.b", rng.standard_normal(7))
-        store.add_buffer("pos", rng.standard_normal((4, 2)))
         path = tmp_path / "ckpt.json"
         save_checkpoint(store, path, extra={"note": 1})
         loaded, extra = load_checkpoint(path)
         assert extra == {"note": 1}
         assert loaded.dtype == dtype
-        for name in ("w.a", "w.b", "pos"):
+        assert loaded.names() == ["w.a", "w.b"]
+        for name in ("w.a", "w.b"):
             assert loaded[name].data.tobytes() == store[name].data.tobytes()
-        assert loaded.buffer_names() == ["pos"]
+        manifest = json.loads(path.read_text())
+        assert manifest["format_version"] == 3
+        assert [sorted(e) for e in manifest["tensors"]] == [["dtype", "name", "offset", "shape"]] * 2
 
     def _saved(self, tmp_path):
         store = ParamStore()
@@ -683,10 +688,22 @@ class TestCheckpoint:
         store.add_param("w", np.zeros(2))
         path = tmp_path / "ckpt.json"
         save_checkpoint(store, path)
-        import json
-
         manifest = json.loads(path.read_text())
         manifest["format_version"] = 99
         path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop, message", [
+        (lambda m: m.pop("blob_bytes"), " has no 'blob_bytes'"),
+        (lambda m: m.pop("tensors"), " has no 'tensors'"),
+        (lambda m: m["tensors"][0].pop("offset"), ": tensor entry 0 has no 'offset'"),
+    ], ids=["blob_bytes", "tensors", "offset"])
+    def test_missing_manifest_key_named(self, tmp_path, drop, message):
+        """Each raised a bare KeyError naming neither the file nor the entry."""
+        path, _ = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        drop(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path) + message)}$"):
             load_checkpoint(path)

@@ -1,10 +1,8 @@
 import ast
 import dataclasses
-import inspect
 from pathlib import Path
 
 import treeformer
-from treeformer import numerics
 from treeformer.model import ModelConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,21 +14,32 @@ def test_every_lazy_export_resolves():
     assert sorted(treeformer.__all__) == sorted([*treeformer._EXPORTS, "__version__"])
 
 
-def test_every_numerics_function_has_a_caller():
-    """Each public function of ``numerics`` is used (called or passed, not
-    just imported or defined) somewhere in ``src/`` or ``perfbench/``."""
-    public = {
-        name for name, fn in inspect.getmembers(numerics, inspect.isfunction)
-        if not name.startswith("_") and fn.__module__ == numerics.__name__
-    }
+def test_every_public_name_has_a_caller():
+    """Each public top-level function and class of ``src/treeformer``, and each
+    public method of a public class, is used (called, passed or read as a
+    ``Name`` or ``Attribute``, not just defined or imported) somewhere in
+    ``src/``, ``perfbench/`` or ``demos/``, or is a lazy export of the
+    package. Each public function of ``numerics`` is used in that code itself."""
+    public = set()
+    for path in (ROOT / "src" / "treeformer").glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                public.add(f"{path.stem}.{top.name}")
+                if isinstance(top, ast.ClassDef):
+                    public |= {
+                        f"{path.stem}.{top.name}.{item.name}" for item in top.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                    }
     used = set()
-    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+    for path in (p for d in ("src", "perfbench", "demos") for p in (ROOT / d).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert sorted(public - used) == []
+    unused = {name for name in public if name.rsplit(".", 1)[-1] not in used}
+    assert sorted(unused - {f"{m}.{name}" for name, m in treeformer._EXPORTS.items()}) == []
+    assert sorted(name for name in unused if name.startswith("numerics.")) == []
 
 
 def test_every_model_config_field_is_set_outside_the_model():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain
+from conftest import chain, heights
 from treeformer.batched import batch_state_tensors
 from treeformer.minilang import MINI_VOCAB, parse
 from treeformer.model import ModelConfig, embed_node, encode_tree, init_params
@@ -32,7 +32,6 @@ from treeformer.trees import (
     SyntaxTree,
     Vocabulary,
     depths,
-    heights,
     iter_tree_lines,
     load_trees,
     random_tree,
@@ -239,8 +238,7 @@ def test_checkpoint_round_trip_and_damage(cfg, dtype, data):
         assert ModelConfig.from_obj(extra["model_config"]) == cfg
         assert loaded.dtype == dtype
         assert loaded.names() == store.names()
-        assert loaded.buffer_names() == store.buffer_names()
-        for name in store.names() + store.buffer_names():
+        for name in store.names():
             assert loaded[name].dtype == store[name].dtype
             assert loaded[name].shape == store[name].shape
             assert loaded[name].data.tobytes() == store[name].data.tobytes()

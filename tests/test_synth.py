@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ class TestCorpusIO:
         assert corpus.task == "wrongop"
         assert corpus.records == records
         assert corpus.meta["operators"] == OPS_MINI
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.pop("task"), "no 'task' key"),
+        (lambda meta: meta.pop("vocabulary"), "no 'vocabulary' key"),
+        (lambda meta: meta.update(task="bogus"), "unknown task 'bogus'"),
+    ], ids=["no-task", "no-vocabulary", "unknown-task"])
+    def test_bad_meta_named(self, tmp_path, edit, message):
+        """A missing key raised a bare KeyError, and an unknown task loaded."""
+        save_classify_corpus(tmp_path / "c", gen_classify_corpus(2, 2, seed=1), seed=1)
+        path = tmp_path / "c" / "meta.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_corpus(tmp_path / "c")
 
     def _corrupt_line_2(self, tmp_path, edit):
         save_wrongop_corpus(tmp_path / "w", gen_wrongop_corpus(3, 2, seed=3), seed=3)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from treeformer import training
 from treeformer.batched import encode_batch
 from treeformer.checks import full_model_gradcheck
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
-from treeformer.model import ModelConfig, encode_tree, init_params, sinusoidal_rows
+from treeformer.model import ModelConfig, encode_tree, init_params
 from treeformer.numerics import CheckpointError, NonFiniteError, ParamStore, save_checkpoint
 from treeformer.synth import Corpus, MutationRecord, gen_classify_corpus, gen_wrongop_corpus
 from treeformer.training import (
@@ -416,10 +417,13 @@ class TestEvaluate:
         # written before per-head scaling and the layer-norm eps became constants
         ("old", "not ModelConfig fields: ['layer_norm_eps', 'per_head_scaling']"),
         ("required", "lacks the required keys ['d']"),
-    ], ids=["missing", "removed-keys", "missing-d"])
+        ("type", "max_children must be an integer, got '16'"),
+        ("digest", "no 'vocab_digest' string"),
+    ], ids=["missing", "removed-keys", "missing-d", "string-size", "missing-digest"])
     def test_checkpoint_model_config_checked(self, tmp_path, edit, message):
-        """A missing, unknown or incomplete model config is a CheckpointError
-        naming the file and the keys, not a raw KeyError or TypeError."""
+        """A missing, unknown or incomplete model config, or a missing
+        vocabulary digest, is a CheckpointError naming the file and the keys,
+        not a raw KeyError or TypeError."""
         corpus = classify_corpus()
         train(tiny_train_config(epochs=1), corpus, out_dir=tmp_path)
         path = tmp_path / "checkpoint.json"
@@ -428,30 +432,34 @@ class TestEvaluate:
             del manifest["extra"]["model_config"]
         elif edit == "old":
             manifest["extra"]["model_config"].update(per_head_scaling=True, layer_norm_eps=1e-5)
-        else:
+        elif edit == "required":
             del manifest["extra"]["model_config"]["d"]
+        elif edit == "type":
+            manifest["extra"]["model_config"]["max_children"] = "16"
+        else:
+            del manifest["extra"]["vocab_digest"]
         path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError) as err:
             evaluate(path, corpus)
         assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
 
-    def test_power_of_two_position_table_refused(self, tmp_path):
-        """The position table holds exactly ``max_children`` rows. A checkpoint
-        whose table was rounded up to a power of two (16 rows for 12) is
-        refused by the shape of ``up.frat.pos``."""
+    def test_format_2_checkpoint_refused(self, tmp_path):
+        """Format 2 stored the position table as a tensor flagged not
+        learnable; this version computes the table and reads format 3 only, so
+        a format-2 file is refused by its path and version, not loaded."""
         corpus = classify_corpus()
-        cfg = model_config_for(tiny_train_config(max_children=12), corpus)
-        params = init_params(cfg, seed=0)
-        old = ParamStore(params.dtype)
-        for name in params.names():
-            old.add_param(name, params[name].data)
-        old.add_buffer("up.frat.pos", sinusoidal_rows(16, cfg.d))
+        cfg = model_config_for(tiny_train_config(), corpus)
         path = tmp_path / "old.json"
-        save_checkpoint(old, path, extra={
+        save_checkpoint(init_params(cfg, seed=0), path, extra={
             "model_config": cfg.to_obj(), "vocab_digest": corpus.vocab.digest(),
         })
+        manifest = json.loads(path.read_text())
+        manifest["format_version"] = 2
+        for entry in manifest["tensors"]:
+            entry["learnable"] = True
+        path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match=(
-            r"'up\.frat\.pos' has shape \(16, 16\), the model config gives \(12, 16\)"
+            f"^{re.escape(str(path))}: unsupported checkpoint format_version 2"
         )):
             evaluate(path, corpus)
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import brute_force_valid, chain, make_tree, star
+from conftest import brute_force_valid, chain, heights, make_tree, star
 from treeformer.trees import (
     CycleDetected,
     DuplicateId,
@@ -18,7 +18,6 @@ from treeformer.trees import (
     branching_stats,
     depth,
     depths,
-    heights,
     load_trees,
     preorder,
     random_tree,
