@@ -2,6 +2,11 @@
 
 All primitives operate on :class:`Tensor` (a thin wrapper over a numpy array)
 and record enough structure for :func:`backward` to accumulate gradients.
+The tape is a graph of nodes, one per tensor that needs a gradient: a node
+holds the gradient, the parents' nodes, the backward function and the
+value's shape and dtype, never the value. A backward function keeps only
+the arrays it reads, so an op output that no backward reads is freed as
+soon as the code that made it drops its tensor.
 Besides the generic ops, each composite the model runs is one fused op with
 an analytic backward: attention, the bias linear, the feed-forward layer,
 residual add + layer norm, and the softmax cross-entropy loss. Precision
@@ -40,19 +45,53 @@ class CheckpointError(Exception):
     pass
 
 
-class Tensor:
-    """Numpy array plus reverse-mode bookkeeping."""
+class _Node:
+    """A tensor's place on the tape: its gradient, its parents' nodes (None
+    for a parent that needs no gradient), its backward function, and its
+    value's shape and dtype, but never the value itself."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
+    __slots__ = ("grad", "_parents", "_bw", "shape", "dtype")
+
+    def __init__(self, shape, dtype, parents: tuple = (), bw=None):
+        self.grad: np.ndarray | None = None
+        self._parents: tuple[_Node | None, ...] = parents
+        self._bw: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = bw
+        self.shape = shape
+        self.dtype = dtype
+
+
+class Tensor:
+    """Numpy array plus its tape node.
+
+    The node is None for constants and for op outputs made under
+    :func:`no_grad`; ``grad`` and ``requires_grad`` read through to it.
+    """
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         if not np.issubdtype(self.data.dtype, np.floating):
             self.data = self.data.astype(np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._bw: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._node = _Node(self.data.shape, self.data.dtype) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self._node is None:
+            raise AttributeError("a tensor that needs no gradient holds none")
+        self._node.grad = value
+
+    @property
+    def _parents(self) -> tuple[_Node | None, ...]:
+        return () if self._node is None else self._node._parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -98,18 +137,20 @@ def no_grad():
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], bw) -> Tensor:
-    """The op's output, recording ``bw`` and ``parents`` when any parent needs a gradient.
+    """The op's output, linked to its parents' nodes when any parent needs a gradient.
 
-    ``bw(g)`` returns one gradient per parent: an array, a :class:`RowGrad`
-    or None. It never returns an array it keeps (saved activations, its
-    inputs' data), because :func:`backward` may store a returned array as a
-    parent's ``.grad`` and add into it in place.
+    The tape links nodes only: ``bw`` keeps what the reverse sweep reads (saved
+    activations, the inputs' data it multiplies by), and an input it does not
+    read is freed once the caller drops its tensor. ``bw(g)`` returns one
+    gradient per parent: an array, a :class:`RowGrad` or None. It never
+    returns an array it keeps, because :func:`backward` may store a returned
+    array as a parent's ``.grad`` and add into it in place.
     """
     out = Tensor(data)
-    if _recording.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._bw = bw
+    if _recording.get():
+        nodes = tuple([p._node for p in parents])
+        if any(nodes):  # a _Node is always true
+            out._node = _Node(out.data.shape, out.data.dtype, nodes, bw)
     return out
 
 
@@ -125,9 +166,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(data, (a, b), bw)
 
@@ -225,13 +267,14 @@ def gather_rows_from(n: int, parts: Sequence[tuple]) -> Tensor:
     covers only the rows read from it.
     """
     sources = tuple(_as_tensor(src) for src, _, _ in parts)
+    rows = [(at, idx) for _, at, idx in parts]  # not the sources: bw never reads them
     first = sources[0].data
     data = np.zeros((n,) + first.shape[1:], dtype=first.dtype)
-    for src, (_, at, idx) in zip(sources, parts):
+    for src, (at, idx) in zip(sources, rows):
         data[at] = src.data[idx]
 
     def bw(g):
-        return tuple(RowGrad(idx, g[at]) for _, at, idx in parts)
+        return tuple(RowGrad(idx, g[at]) for at, idx in rows)
 
     return _make(data, sources, bw)
 
@@ -426,13 +469,13 @@ def cross_entropy(logits, labels) -> Tensor:
         raise NonFiniteError("cross_entropy logits contain NaN/Inf")
     shifted = x - x.max(axis=-1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    rows, inv_n = np.arange(n), float(1.0 / n)
+    rows, inv_n, flat = np.arange(n), float(1.0 / n), logits.data.ndim == 1
 
     def bw(g):
         gx = np.zeros_like(out)
         gx[rows, labels] = -(g * inv_n)
         gx -= np.exp(out) * gx.sum(axis=-1, keepdims=True)
-        return (gx if logits.data.ndim == 2 else gx.reshape(-1),)
+        return (gx.reshape(-1) if flat else gx,)
 
     return _make(np.asarray(-out[rows, labels].sum() * inv_n), (logits,), bw)
 
@@ -442,36 +485,41 @@ def _consumed(g):
 
 
 def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:
-    """Accumulate gradients of ``out`` into every tensor in its graph, consuming it.
+    """Accumulate gradients of ``out`` into every node of its graph, consuming it.
 
-    Each op's backward function and parent links are dropped as the reverse
-    sweep passes it, so an intermediate the caller does not hold is freed
-    with its saved arrays and gradient; hold any tensor whose ``.grad`` you
-    need. A graph can be back-propagated once: a consumed op raises if a
-    gradient reaches it again, from a second ``backward`` or from a new loss
-    built on one of its outputs.
+    The sweep walks tape nodes, which hold gradients but no values: a
+    :class:`RowGrad` buffer is sized, and a gradient's dtype checked, from
+    the node. Each op's backward function and parent links are dropped as
+    the sweep passes it, so an intermediate the caller does not hold is
+    freed with its saved arrays and gradient; hold any tensor whose
+    ``.grad`` you need. A graph can be back-propagated once: a consumed op
+    raises if a gradient reaches it again, from a second ``backward`` or
+    from a new loss built on one of its outputs.
     """
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(out, False)]
+    if seed_grad is None:
+        if out.data.size != 1:
+            raise ShapeError("backward() without seed gradient needs a scalar output")
+        seed_grad = np.ones_like(out.data)
+    if not out.requires_grad:  # a constant: nothing in its graph takes a gradient
+        return
+    root = out._node
+    topo: list[_Node] = []
+    seen: set[_Node] = set()
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p is not None and p not in seen:
                 stack.append((p, False))
 
-    if seed_grad is None:
-        if out.data.size != 1:
-            raise ShapeError("backward() without seed gradient needs a scalar output")
-        seed_grad = np.ones_like(out.data)
-    out.grad = np.asarray(seed_grad, dtype=out.data.dtype)
+    root.grad = np.asarray(seed_grad, dtype=root.dtype)
 
     while topo:
         node = topo.pop()
@@ -483,11 +531,11 @@ def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:
             continue
         grads = bw(grad)
         for i, (parent, g) in enumerate(zip(parents, grads)):
-            if g is None or not parent.requires_grad:
+            if g is None or parent is None:
                 continue
             if isinstance(g, RowGrad):
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
+                    parent.grad = np.zeros(parent.shape, parent.dtype)
                 _add_rows(parent.grad, g.rows, g.values)
             elif parent.grad is not None:
                 parent.grad += g
@@ -495,12 +543,12 @@ def backward(out: Tensor, seed_grad: np.ndarray | None = None) -> None:
                 g is grad
                 or type(g) is not np.ndarray  # a numpy scalar from a 0-d op
                 or g.base is not None
-                or g.dtype != parent.data.dtype
+                or g.dtype != parent.dtype
                 or any(g is h for h in grads[:i])
             ):
                 # a copy: the array may be shared (the node's own, a view, a
                 # sibling's), or it has another dtype
-                parent.grad = np.array(g, dtype=parent.data.dtype)
+                parent.grad = np.array(g, dtype=parent.dtype)
             else:
                 parent.grad = g
 
@@ -598,8 +646,10 @@ def _key(obj, key: str, where: str):
 
 
 def load_checkpoint(manifest_path, blob_path=None) -> tuple[ParamStore, dict]:
-    """Read a format-3 checkpoint; another version, a missing manifest key, or a blob
-    whose length or sha256 differs from the manifest's is a CheckpointError."""
+    """Read a format-3 checkpoint. Another version, a missing or malformed
+    manifest key, an unsupported dtype, an entry that runs past the blob, or a
+    blob whose length or sha256 differs from the manifest's is a
+    CheckpointError naming the manifest."""
     manifest_path = str(manifest_path)
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -620,15 +670,40 @@ def load_checkpoint(manifest_path, blob_path=None) -> tuple[ParamStore, dict]:
         )
     if hashlib.sha256(blob).hexdigest() != _key(manifest, "blob_sha256", manifest_path):
         raise CheckpointError(f"{blob_path}: sha256 differs from manifest {manifest_path}")
-    store = ParamStore(dtype=_key(manifest, "dtype", manifest_path))
-    for i, entry in enumerate(_key(manifest, "tensors", manifest_path)):
+    store = ParamStore(dtype=_float_dtype(manifest, manifest_path))
+    tensors = _key(manifest, "tensors", manifest_path)
+    if not isinstance(tensors, list):
+        raise CheckpointError(f"{manifest_path}: 'tensors' is not a list")
+    for i, entry in enumerate(tensors):
         where = f"{manifest_path}: tensor entry {i}"
-        shape = _key(entry, "shape", where)
-        dtype = np.dtype(_key(entry, "dtype", where))
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{where} is not an object")
+        shape, offset = _key(entry, "shape", where), _key(entry, "offset", where)
+        dtype = np.dtype(_float_dtype(entry, where))
+        if not (
+            isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)
+            and type(offset) is int
+            and offset >= 0
+        ):
+            raise CheckpointError(f"{where}: bad shape {shape!r} or offset {offset!r}")
         count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype.newbyteorder("<"), count, _key(entry, "offset", where))
+        if offset + count * dtype.itemsize > len(blob):
+            raise CheckpointError(
+                f"{where}: {count} {dtype} values at offset {offset} run past"
+                f" the {len(blob)}-byte blob"
+            )
+        arr = np.frombuffer(blob, dtype.newbyteorder("<"), count, offset)
         store.add_param(_key(entry, "name", where), arr.astype(dtype).reshape(shape))
     return store, manifest.get("extra", {})
+
+
+def _float_dtype(obj, where: str) -> str:
+    """``obj["dtype"]``, which must name a dtype a ParamStore holds."""
+    dtype = _key(obj, "dtype", where)
+    if not isinstance(dtype, str) or dtype not in _FLOAT_DTYPES:
+        raise CheckpointError(f"{where}: unsupported dtype {dtype!r}")
+    return dtype
 
 
 def grad_check(

@@ -472,8 +472,9 @@ def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> Mu
 
 
 def load_corpus(corpus_dir) -> Corpus:
-    """A corpus directory; a ``meta.json`` without ``task`` or ``vocabulary``, or
-    naming an unknown task, is a ValueError naming the file."""
+    """A corpus directory; a ``meta.json`` without ``task`` or ``vocabulary``,
+    naming an unknown task, or whose vocabulary is not an object with ``types``
+    and ``tokens`` lists of strings, is a ValueError naming the file."""
     meta_path = os.path.join(corpus_dir, "meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -483,7 +484,20 @@ def load_corpus(corpus_dir) -> Corpus:
     task = meta["task"]
     if task not in TASKS:
         raise ValueError(f"{meta_path}: unknown task {task!r}; expected one of {list(TASKS)}")
-    vocab = Vocabulary.from_obj(meta["vocabulary"])
+    vocabulary = meta["vocabulary"]
+    if not (
+        isinstance(vocabulary, dict)
+        and all(
+            isinstance(vocabulary.get(key), list)
+            and all(isinstance(s, str) for s in vocabulary[key])
+            for key in ("types", "tokens")
+        )
+    ):
+        raise ValueError(
+            f"{meta_path}: 'vocabulary' is not an object with 'types' and 'tokens'"
+            " lists of strings"
+        )
+    vocab = Vocabulary.from_obj(vocabulary)
     trees_path = os.path.join(corpus_dir, "trees.jsonl")
     if task == "wrongop":
         with open(trees_path, "r", encoding="utf-8") as fh:

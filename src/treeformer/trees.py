@@ -43,7 +43,7 @@ class ParseError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntaxNode:
     """One typed tree node; ``children`` order is significant."""
 

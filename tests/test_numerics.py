@@ -528,7 +528,7 @@ class TestNoGrad:
         with nm.no_grad():
             out = weighted_sum(linear(w, nm.transpose(w, (1, 0)), constant([-60.0, 0.0])))
         assert not out.requires_grad
-        assert out._parents == () and out._bw is None
+        assert out._node is None and out._parents == ()
         assert out.item() == float((w.data @ w.data.T + [-60.0, 0.0]).sum())
 
     def test_recording_resumes_after_block_and_error(self):
@@ -704,6 +704,29 @@ class TestCheckpoint:
         path, _ = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
         drop(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path) + message)}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["tensors"][0].update(offset=40),
+         ": tensor entry 0: 12 float64 values at offset 40 run past the 96-byte blob"),
+        (lambda m: m["tensors"][0].update(shape=[4, 4]),
+         ": tensor entry 0: 16 float64 values at offset 0 run past the 96-byte blob"),
+        (lambda m: m["tensors"][0].update(shape="3x4"),
+         ": tensor entry 0: bad shape '3x4' or offset 0"),
+        (lambda m: m.update(dtype="float16"), ": unsupported dtype 'float16'"),
+        (lambda m: m["tensors"][0].update(dtype="float16"),
+         ": tensor entry 0: unsupported dtype 'float16'"),
+        (lambda m: m.update(tensors=5), ": 'tensors' is not a list"),
+        (lambda m: m.update(tensors=[5]), ": tensor entry 0 is not an object"),
+    ], ids=["offset", "shape", "shape-type", "dtype", "entry-dtype", "tensors", "entry"])
+    def test_malformed_manifest_named(self, tmp_path, edit, message):
+        """Each raised a bare numpy ValueError or TypeError, or named a missing
+        key that was there, without the manifest's path."""
+        path, _ = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        edit(manifest)
         path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(path) + message)}$"):
             load_checkpoint(path)

@@ -191,9 +191,14 @@ class TestCorpusIO:
         (lambda meta: meta.pop("task"), "no 'task' key"),
         (lambda meta: meta.pop("vocabulary"), "no 'vocabulary' key"),
         (lambda meta: meta.update(task="bogus"), "unknown task 'bogus'"),
-    ], ids=["no-task", "no-vocabulary", "unknown-task"])
+        (lambda meta: meta.update(vocabulary=5), "'vocabulary' is not an object"),
+        (lambda meta: meta["vocabulary"].pop("types"), "'vocabulary' is not an object"),
+        (lambda meta: meta["vocabulary"].update(tokens="abc"), "'vocabulary' is not an object"),
+    ], ids=["no-task", "no-vocabulary", "unknown-task", "vocabulary-not-object",
+            "vocabulary-no-types", "vocabulary-tokens-not-list"])
     def test_bad_meta_named(self, tmp_path, edit, message):
-        """A missing key raised a bare KeyError, and an unknown task loaded."""
+        """A missing key raised a bare KeyError, an unknown task loaded, and a
+        malformed vocabulary raised a bare TypeError or KeyError, or loaded."""
         save_classify_corpus(tmp_path / "c", gen_classify_corpus(2, 2, seed=1), seed=1)
         path = tmp_path / "c" / "meta.json"
         meta = json.loads(path.read_text())

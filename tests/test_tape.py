@@ -1,7 +1,9 @@
-"""``backward`` consumes the graph it walks: gradients equal those of a tape
-that keeps everything (the oracle below) on random op graphs, dropped
-intermediates are freed, its memory peak stays near what the forward holds,
-and a consumed graph refuses a second pass."""
+"""The tape links graph nodes, not values, and ``backward`` consumes the graph
+it walks: gradients equal those of a tape that keeps everything (the oracle
+below) on random op graphs, an output no backward reads is freed once
+dropped, dropped intermediates are freed during the sweep, its memory peak
+stays near what the forward holds, and a consumed graph refuses a second
+pass."""
 
 import gc
 import tracemalloc
@@ -24,8 +26,12 @@ from treeformer.trees import random_tree
 
 def oracle_backward(out):
     """The tape walk that keeps every node, its backward function and its
-    gradient alive, and copies every first gradient it stores."""
-    topo, seen, stack = [], set(), [(out, False)]
+    gradient alive, and copies every first gradient it stores. It walks
+    graph nodes: shapes and dtypes come from the node, and a parent without
+    a node (one that needs no gradient) is skipped."""
+    if out._node is None:  # built from constants alone
+        return
+    topo, seen, stack = [], set(), [(out._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -36,21 +42,21 @@ def oracle_backward(out):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
-    out.grad = np.ones_like(out.data)
+    out.grad = np.ones(out._node.shape, out._node.dtype)
     for node in reversed(topo):
         if node._bw is None or node.grad is None:
             continue
         for parent, g in zip(node._parents, node._bw(node.grad)):
-            if g is None or not parent.requires_grad:
+            if g is None or parent is None:
                 continue
             if isinstance(g, RowGrad):
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
+                    parent.grad = np.zeros(parent.shape, parent.dtype)
                 _add_rows(parent.grad, g.rows, g.values)
             elif parent.grad is None:
-                parent.grad = np.array(g, dtype=parent.data.dtype)
+                parent.grad = np.array(g, dtype=parent.dtype)
             else:
                 parent.grad += g
 
@@ -272,6 +278,30 @@ def test_dropped_intermediates_freed_held_keep_grad():
     assert w.grad is not None
 
 
+@pytest.mark.parametrize("read_by", ["add_layer_norm", "gather_rows"])
+def test_output_no_backward_reads_is_freed_before_backward(read_by):
+    """An op output that only ``add_layer_norm`` or ``gather_rows`` reads is
+    freed as soon as the caller drops it, before ``backward`` runs: the tape
+    links its node, not its value. Its gradient still flows through."""
+    params = ParamStore("float64")
+    w = params.add_param("w", np.arange(16.0).reshape(4, 4) / 16)
+    zeros = constant(np.zeros(4))
+    out = nm.feed_forward(w, w, zeros, w, zeros)
+    gone = weakref.ref(out.data)  # a Tensor takes no weak reference; its array lives as long
+    gc.disable()  # reference counting alone must free it
+    try:
+        if read_by == "add_layer_norm":
+            y = nm.add_layer_norm(out, w, constant(np.ones(4)), zeros)
+        else:
+            y = nm.gather_rows(out, [3, 0, 3])
+        del out
+        assert gone() is None
+    finally:
+        gc.enable()
+    backward(weighted_sum(nm.matmul(y, w)))
+    assert w.grad is not None and np.abs(w.grad).sum() > 0
+
+
 def test_backward_peak_memory_near_forward():
     """On a small forest batch, the peak during ``backward`` stays within
     1.4x of what the finished forward holds (a tape that keeps every node
@@ -296,11 +326,13 @@ def test_backward_peak_memory_near_forward():
 
 
 def test_top_down_step_holds_few_row_copies():
-    """A finished top-down forward over 512 rows holds at most 12 row widths
+    """A finished top-down forward over 512 rows holds at most 9 row widths
     per row: each of the two residual layer norms keeps its normalized rows
-    and its output, the feed-forward layer its hidden rows (4d) and its
-    output, about 9.2 in all. Separate add, matmul, bias, ReLU and layer-norm
-    ops held 20.7. Bytes, not time: the same on every run."""
+    and its output, and the feed-forward layer its hidden rows (4d), about
+    8.2 in all. The feed-forward output, read by no backward function, is
+    freed once the step drops it; a tape that kept every op output held 9.2,
+    and separate add, matmul, bias, ReLU and layer-norm ops 20.7. Bytes, not
+    time: the same on every run."""
     cfg = ModelConfig(d=16, heads=2, type_vocab_size=4, token_vocab_size=4, node_classes=2)
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
@@ -313,4 +345,4 @@ def test_top_down_step_holds_few_row_copies():
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    assert held / 512 <= 12 * 16 * 8, f"{held / 512 / (16 * 8):.1f} row widths per row"
+    assert held / 512 <= 9 * 16 * 8, f"{held / 512 / (16 * 8):.1f} row widths per row"
