@@ -42,7 +42,7 @@ out = task_forward("wrongop", test_corpus.records[:8], result.params, result.mod
 record = test_corpus.records[0]
 slot = int(np.argmax(out.logits[0]))
 located = out.nodes[0][slot]
-repair = int(np.argmax(out.repair_logits[0, slot]))
+repair = int(np.argmax(out.repair_logits[0][slot]))
 corrupted_symbol = MINI_VOCAB.token_symbol(record.tree.node(record.target_node).token_id)
 print(
     f"\nsample 0: corrupted node {record.target_node} ({corrupted_symbol!r}), "

@@ -28,10 +28,6 @@ import numpy as np
 
 _FLOAT_DTYPES = {"float64": np.float64, "float32": np.float32}
 
-# Finite additive mask value: exp() underflows to exactly 0.0 for both dtypes,
-# so the slots a task head masks out of its softmax contribute exactly nothing.
-MASK_FILL = -1e30
-
 
 class NonFiniteError(ArithmeticError):
     pass
@@ -448,36 +444,57 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     return _make(data, (x, w1, b1, w2, b2), bw)
 
 
-def cross_entropy(logits, labels) -> Tensor:
-    """Mean cross-entropy of ``labels`` under the softmax of each row of
-    ``logits`` (``[n, c]``, or ``[c]`` taken as one row), as one 0-d op.
+def cross_entropy(logits, labels, sizes=None) -> Tensor:
+    """Mean over runs of ``-log softmax(run)[label]``, as one 0-d op. ``[n, c]``
+    logits are n runs of c and ``[c]`` is one run; with ``sizes``, 1-D logits
+    are consecutive runs of those lengths. Label i indexes within run i.
 
-    Its value and gradient equal, bit for bit, those of log-softmax, picking
-    each row's label, summing, negating and scaling by ``1/n`` as separate ops.
+    The runs of each length are reduced together as ``[runs, length]`` rows,
+    so value and gradient equal, bit for bit, those of row-wise log-softmax,
+    picking each row's label, summing, negating and scaling by ``1/n`` as
+    separate ops.
     """
     logits = _as_tensor(logits)
-    x = logits.data.reshape(1, -1) if logits.data.ndim == 1 else logits.data
-    labels = np.asarray(labels, dtype=np.intp).reshape(-1)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"cross_entropy takes [n, c] logits with n >= 1; got {logits.shape}")
-    n, c = x.shape
+    x = logits.data
+    if sizes is None and x.ndim in (1, 2) and x.size:
+        sizes = np.full(x.size // x.shape[-1], x.shape[-1])
+    elif x.ndim != 1 or sizes is None:
+        raise ShapeError(f"cross_entropy takes [n, c] or [c], or [N] with sizes; got {x.shape}")
+    sizes, labels = np.asarray(sizes, np.intp).reshape(-1), np.asarray(labels, np.intp).reshape(-1)
+    if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != x.size:
+        raise ShapeError(f"cross_entropy takes runs of >= 1 that tile {x.size} logits; got {sizes}")
+    n = sizes.size
     if labels.size != n:
         raise ShapeError(f"cross_entropy takes one label per row: {n} rows, {labels.size} labels")
-    if labels.min() < 0 or labels.max() >= c:
-        raise IndexError(f"label outside [0, {c})")
+    bad = np.flatnonzero((labels < 0) | (labels >= sizes))
+    if bad.size:
+        raise IndexError(f"label {labels[bad[0]]} of run {bad[0]} outside [0, {sizes[bad[0]]})")
     if not np.isfinite(x.sum()):
         raise NonFiniteError("cross_entropy logits contain NaN/Inf")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    rows, inv_n, flat = np.arange(n), float(1.0 / n), logits.data.ndim == 1
+    starts, picked, groups = np.cumsum(sizes) - sizes, np.empty(n, x.dtype), []
+    # the runs of each length: their logits' flat index (a view when all runs
+    # have one length, as for [n, c] logits), log-softmax and labels
+    for length in np.flatnonzero(np.bincount(sizes)).tolist():
+        runs = np.flatnonzero(sizes == length)
+        index = slice(None) if runs.size == n else (starts[runs, None] + np.arange(length)).ravel()
+        block = x.reshape(-1)[index].reshape(runs.size, length)
+        shifted = block - block.max(axis=-1, keepdims=True)
+        out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        rows = (np.arange(runs.size), labels[runs])
+        picked[runs] = out[rows]
+        groups.append((index, out, rows))
+    shape, dtype, inv_n = x.shape, x.dtype, float(1.0 / n)
 
     def bw(g):
-        gx = np.zeros_like(out)
-        gx[rows, labels] = -(g * inv_n)
-        gx -= np.exp(out) * gx.sum(axis=-1, keepdims=True)
-        return (gx.reshape(-1) if flat else gx,)
+        gx = np.empty(shape, dtype)
+        for index, out, rows in groups:
+            block = np.zeros_like(out)
+            block[rows] = -(g * inv_n)
+            block -= np.exp(out) * block.sum(axis=-1, keepdims=True)
+            gx.reshape(-1)[index] = block.reshape(-1)
+        return (gx,)
 
-    return _make(np.asarray(-out[rows, labels].sum() * inv_n), (logits,), bw)
+    return _make(np.asarray(-picked.sum() * inv_n), (logits,), bw)
 
 
 def _consumed(g):

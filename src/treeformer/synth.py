@@ -447,13 +447,14 @@ def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> Mu
     if not isinstance(obj, dict) or not isinstance(obj.get("mutation"), dict):
         raise ValueError(f"{where}: no mutation object")
     mut = obj.pop("mutation")
-    try:
-        target, original, corrupted = (
-            int(mut[key]) for key in ("target_node", "original_op", "corrupted_op")
+    keys = ("target_node", "original_op", "corrupted_op")
+    # a JSON integer only: a float, string or bool is refused, not coerced
+    if not all(type(mut.get(key)) is int for key in keys) or "source_hash" not in mut:
+        raise ValueError(
+            f"{where}: bad mutation {mut!r}: needs integers {', '.join(keys)} and a source_hash"
         )
-        source_hash = mut["source_hash"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: bad mutation {mut!r}: {exc!r}") from exc
+    target, original, corrupted = (mut[key] for key in keys)
+    source_hash = mut["source_hash"]
     tree = tree_from_obj(obj, vocab, lineno)
     if target not in operator_nodes(tree, vocab):
         raise ValueError(f"{where}: target_node {target} is not an operator leaf")
@@ -473,8 +474,9 @@ def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> Mu
 
 def load_corpus(corpus_dir) -> Corpus:
     """A corpus directory; a ``meta.json`` without ``task`` or ``vocabulary``,
-    naming an unknown task, or whose vocabulary is not an object with ``types``
-    and ``tokens`` lists of strings, is a ValueError naming the file."""
+    naming an unknown task, whose vocabulary is not an object with ``types``
+    and ``tokens`` lists of strings, or, for wrongop, whose ``operators`` is
+    not ``OPS_MINI``, is a ValueError naming the file."""
     meta_path = os.path.join(corpus_dir, "meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -500,6 +502,8 @@ def load_corpus(corpus_dir) -> Corpus:
     vocab = Vocabulary.from_obj(vocabulary)
     trees_path = os.path.join(corpus_dir, "trees.jsonl")
     if task == "wrongop":
+        if meta.get("operators") != list(OPS_MINI):
+            raise ValueError(f"{meta_path}: 'operators' is not the operator list {OPS_MINI}")
         with open(trees_path, "r", encoding="utf-8") as fh:
             records = [
                 _record_from_line(raw, vocab, trees_path, lineno)

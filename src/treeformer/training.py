@@ -2,6 +2,8 @@
 
 The cross-entropy is the fused ``numerics.cross_entropy``, re-exported here.
 The classify head pools each tree by single-query attention (``pooled_rows``).
+The wrongop head pads nothing: it scores one row per real candidate, and its
+pointer loss is one cross-entropy over runs, a run of candidates per tree.
 
 Runs are reproducible: all randomness flows from the config seed, artifacts
 carry no wall-clock data, and reruns in float64 match bit for bit.
@@ -24,7 +26,6 @@ from .batched import batch_state_tensors
 from .minilang import operator_nodes
 from .model import ModelConfig, init_params
 from .numerics import (
-    MASK_FILL,
     CheckpointError,
     ParamStore,
     Tensor,
@@ -32,7 +33,6 @@ from .numerics import (
     add,
     attention,
     backward,
-    constant,
     cross_entropy,
     gather_rows,
     linear,
@@ -138,17 +138,6 @@ def adam_step(
 
 
 # ---------------------------------------------------------------------------
-# losses
-
-def loss_wrongop(pointer_logits, repair_logits, target_index, repair_label) -> Tensor:
-    """Localization plus repair cross-entropies, summed unweighted."""
-    return add(
-        cross_entropy(pointer_logits, target_index),
-        cross_entropy(repair_logits, repair_label),
-    )
-
-
-# ---------------------------------------------------------------------------
 # metrics
 
 @dataclass
@@ -230,29 +219,19 @@ def model_config_for(config: TrainConfig, corpus: Corpus) -> ModelConfig:
 class TaskForward:
     """One batch through the encoder and its task head.
 
-    ``logits`` and ``targets`` hold one row per item: tree-class logits and
+    ``logits`` and ``targets`` hold one entry per item: tree-class logits and
     labels (classify), node-class logits and labels of the labeled nodes
-    (node-classify), or each tree's pointer logits over its candidate slots,
-    padding at ``MASK_FILL``, and the gold candidate's slot (wrongop).
+    (node-classify), or each tree's 1-D pointer logits over its candidates
+    only, and the gold candidate's index among them (wrongop).
     """
 
     loss: Tensor | None  # mean over the items; None when the batch has none
     items: int  # trees for classify and wrongop, labeled nodes for node-classify
-    logits: np.ndarray
+    logits: np.ndarray | list  # wrongop: one [candidates] array per tree
     targets: np.ndarray
     nodes: list | None = None  # wrongop: candidate ids per tree; node-classify: (tree, node id)
-    repair_logits: np.ndarray | None = None  # wrongop: [trees, slots, operator classes]
+    repair_logits: list | None = None  # wrongop: one [candidates, operator classes] array per tree
     repair_targets: np.ndarray | None = None  # wrongop: original operator per tree
-
-
-def _padded_slots(widths: list[int], rows: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``rows``, ``widths[i]`` of them for item ``i``, laid out as ``[B, max(widths)]``
-    slots: the row per slot (0 at padding) and an additive fill (``MASK_FILL``
-    at padding)."""
-    real = np.arange(max(widths)) < np.asarray(widths)[:, None]
-    idx = np.zeros(real.shape, dtype=np.intp)
-    idx[real] = rows
-    return idx, np.where(real, 0.0, MASK_FILL).astype(dtype)
 
 
 def pooled_rows(D: Tensor, schedule: Schedule, params: ParamStore) -> Tensor:
@@ -281,27 +260,21 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
     if task == "wrongop":
         cands = [operator_nodes(tree) for tree in trees]
         rows = [schedule.row_index[i][nid] for i, cand in enumerate(cands) for nid in cand]
-        slots, fill = _padded_slots(list(map(len, cands)), rows, D.dtype)
-        (b, width), d = slots.shape, cfg.d
-        crows = gather_rows(D, slots.reshape(-1))
+        sizes = [len(cand) for cand in cands]
+        crows = gather_rows(D, rows)  # one row per real candidate, tree by tree
         # one dot per candidate: a flat [rows, d] @ [d, 1] product rounds by
         # row position, which would give equal-content candidates unequal
         # logits, so each candidate runs as its own [1, d] @ [d, 1] product
-        scores = matmul(reshape(crows, (b * width, 1, d)), params["head.pointer.w"])
-        pointer = add(reshape(scores, (b, width)), constant(fill))
+        scores = matmul(reshape(crows, (-1, 1, cfg.d)), params["head.pointer.w"])
+        pointer = reshape(scores, (-1,))
         repair = linear(crows, params["head.repair.w"], params["head.repair.b"])
         targets = np.array([c.index(r.target_node) for c, r in zip(cands, batch)], dtype=np.intp)
         ops = np.array([r.original_op for r in batch], dtype=np.intp)
-        gold = gather_rows(repair, np.arange(b) * width + targets)
-        return TaskForward(
-            loss_wrongop(pointer, gold, targets, ops),
-            b,
-            pointer.data,
-            targets,
-            cands,
-            repair.data.reshape(b, width, -1),
-            ops,
-        )
+        ends = np.cumsum(sizes)
+        gold = gather_rows(repair, ends - sizes + targets)
+        loss = add(cross_entropy(pointer, targets, sizes), cross_entropy(gold, ops))
+        logits, repair_logits = (np.split(t.data, ends[:-1]) for t in (pointer, repair))
+        return TaskForward(loss, len(batch), logits, targets, cands, repair_logits, ops)
     # rows run tree by tree and, within a tree, by ascending node id
     arrays = tree_arrays(trees)
     labels = np.concatenate([a.label for a in arrays])
@@ -318,25 +291,26 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
 # evaluation
 
 def _prediction_rows(task: str, out: TaskForward, base: int) -> list[dict]:
+    if task == "wrongop":
+        # argmax takes the first maximum: a tie goes to the lowest node id
+        pred = [int(np.argmax(logits)) for logits in out.logits]
+        return [
+            {
+                "sample": base + i,
+                "pred_node": int(cand[p]),
+                "pred_op": int(np.argmax(repair[p])),
+                "gold_node": int(cand[g]),
+                "gold_op": int(gold_op),
+            }
+            for i, (cand, p, repair, g, gold_op) in enumerate(
+                zip(out.nodes, pred, out.repair_logits, out.targets, out.repair_targets)
+            )
+        ]
     pred = np.argmax(out.logits, axis=1)
     if task == "classify":
         return [
             {"sample": base + i, "pred": int(p), "gold": int(g)}
             for i, (p, g) in enumerate(zip(pred, out.targets))
-        ]
-    if task == "wrongop":
-        ops = np.argmax(out.repair_logits[np.arange(len(pred)), pred], axis=1)
-        return [
-            {
-                "sample": base + i,
-                "pred_node": int(cand[p]),
-                "pred_op": int(op),
-                "gold_node": int(cand[g]),
-                "gold_op": int(gold_op),
-            }
-            for i, (cand, p, op, g, gold_op) in enumerate(
-                zip(out.nodes, pred, ops, out.targets, out.repair_targets)
-            )
         ]
     return [
         {"sample": base + t, "node": int(nid), "pred": int(p), "gold": int(g)}

@@ -24,14 +24,17 @@ from treeformer.model import (
     top_down_step,
 )
 from treeformer.numerics import (
-    MASK_FILL,
     ParamStore,
+    add,
     backward,
     concat,
     constant,
+    cross_entropy,
     gather_rows,
+    linear,
     matmul,
     reshape,
+    scale,
     softmax,
 )
 from treeformer.scheduler import build_schedule
@@ -644,10 +647,10 @@ class TestHeads:
         cfg = wrongop_config()
         params = init_params(cfg, seed=29)
         batch = [unmutated_record("s = a + b;"), mutate_operator(parse("s = a * b - c / d;"), 3)]
-        logits = task_forward("wrongop", batch, params, cfg).logits
-        assert logits.shape == (2, 3)
-        assert logits[0, 1:].tolist() == [np.float64(MASK_FILL)] * 2
-        assert softmax(constant(logits)).data[0].tolist() == [1.0, 0.0, 0.0]
+        out = task_forward("wrongop", batch, params, cfg)
+        assert [row.shape for row in out.logits] == [(1,), (3,)]
+        assert [row.shape for row in out.repair_logits] == [(1, len(OPS_MINI)), (3, len(OPS_MINI))]
+        assert softmax(constant(out.logits[0])).data.tolist() == [1.0]
 
     def test_pointer_identical_candidates(self):
         """Equal-symbol candidates tie exactly without top-down flow, at any row position."""
@@ -673,11 +676,45 @@ class TestHeads:
         cfg = wrongop_config()
         params = init_params(cfg, seed=31)
         batch = gen_wrongop_corpus(6, 2, seed=20)
-        probs = softmax(constant(task_forward("wrongop", batch, params, cfg).logits)).data
-        for rec, row in zip(batch, probs):
-            k = len(operator_nodes(rec.tree))
-            assert abs(row[:k].sum() - 1.0) < 1e-12
-            assert not row[k:].any()
+        logits = task_forward("wrongop", batch, params, cfg).logits
+        assert [len(row) for row in logits] == [len(operator_nodes(r.tree)) for r in batch]
+        for row in logits:
+            assert abs(softmax(constant(row)).data.sum() - 1.0) < 1e-12
+
+    def test_wrongop_loss_matches_per_tree_oracle(self):
+        """Loss and gradients equal one [1, k] cross-entropy per tree's candidates
+        plus the repair loss at the gold rows, including a 1-candidate tree."""
+        cfg = wrongop_config(d=16, max_children=16)
+        params = init_params(cfg, seed=37)
+        batch = gen_wrongop_corpus(5, 2, seed=21)
+        batch.insert(2, unmutated_record("s = a + b;"))
+        out = task_forward("wrongop", batch, params, cfg)
+        backward(out.loss)
+        got = {n: params[n].grad.copy() for n in params.names() if params[n].grad is not None}
+
+        params.zero_grads()
+        _, _, D, schedule = batch_state_tensors([r.tree for r in batch], params, cfg)
+        index = schedule.row_index
+        pointer = []
+        for t, rec in enumerate(batch):
+            cands = operator_nodes(rec.tree)
+            rows = gather_rows(D, [index[t][nid] for nid in cands])
+            logits = reshape(matmul(rows, params["head.pointer.w"]), (1, len(cands)))
+            pointer.append(cross_entropy(logits, [cands.index(rec.target_node)]))
+        gold = gather_rows(D, [index[t][rec.target_node] for t, rec in enumerate(batch)])
+        repair = linear(gold, params["head.repair.w"], params["head.repair.b"])
+        total = pointer[0]
+        for term in pointer[1:]:
+            total = add(total, term)
+        oracle = add(
+            scale(total, 1.0 / len(batch)),
+            cross_entropy(repair, [rec.original_op for rec in batch]),
+        )
+        backward(oracle)
+        assert abs(out.loss.item() - oracle.item()) < 1e-12
+        assert got.keys() == {n for n in params.names() if params[n].grad is not None}
+        for name, grad in got.items():
+            np.testing.assert_allclose(grad, params[name].grad, rtol=0, atol=1e-12, err_msg=name)
 
     def test_classify_and_node_heads_shapes(self):
         rng = np.random.default_rng(34)

@@ -164,11 +164,20 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError, match="4 rows, 2 labels"):
             cross_entropy(np.zeros((4, 3)), [0, 1])
 
-    @pytest.mark.parametrize("shape, labels", [((0, 3), []), ((2, 3, 4), [0, 0]), ((), [0])])
-    def test_empty_or_misshapen_logits_named(self, shape, labels):
+    @pytest.mark.parametrize("shape, labels, sizes", [
+        pytest.param((0, 3), [], None, id="shape0-labels0"),
+        pytest.param((2, 3, 4), [0, 0], None, id="shape1-labels1"),
+        pytest.param((), [0], None, id="shape2-labels2"),
+        pytest.param((5,), [0, 0], [5, 0], id="empty-run"),
+        pytest.param((5,), [0, 0], [2, 2], id="runs-short-of-logits"),
+        pytest.param((5,), [0, 0], [3, 3], id="runs-past-logits"),
+        pytest.param((2, 3), [0, 0], [3, 3], id="sizes-with-2d-logits"),
+        pytest.param((0,), [], [], id="no-runs"),
+    ])
+    def test_empty_or_misshapen_logits_named(self, shape, labels, sizes):
         """An empty batch raised numpy's zero-size reduction error."""
         with pytest.raises(ShapeError, match="cross_entropy takes"):
-            cross_entropy(np.zeros(shape), labels)
+            cross_entropy(np.zeros(shape), labels, sizes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_logits(self, bad):

@@ -192,10 +192,13 @@ def test_node_head_rows_match_sorted_labels(batch, seed):
 def test_cross_entropy_matches_log_softmax_reference(n, c, data):
     """Value and logits gradient against a plain numpy log-softmax: the mean
     of ``-log p[label]`` and ``(softmax - onehot) / n``, for ``[n, c]`` logits
-    and, when there is one row, ``[c]``."""
+    and, when there is one row, ``[c]``. Runs of drawn lengths match the mean
+    of one ``[1, k]`` loss per run, and ``[n, c]`` logits give the same bits
+    as ``n`` runs of ``c``."""
     labels = data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((n, c)) * data.draw(st.sampled_from([0.1, 1.0, 30.0]))
+    spread = data.draw(st.sampled_from([0.1, 1.0, 30.0]))
+    x = rng.standard_normal((n, c)) * spread
     flat = n == 1 and data.draw(st.booleans())
     logits = ParamStore("float64").add_param("x", x[0] if flat else x)
     loss = cross_entropy(logits, labels)
@@ -209,6 +212,31 @@ def test_cross_entropy_matches_log_softmax_reference(n, c, data):
     np.testing.assert_allclose(loss.item(), want, rtol=1e-12, atol=1e-12)
     want = (np.exp(log_p) - onehot) / n
     np.testing.assert_allclose(logits.grad, want[0] if flat else want, rtol=1e-10, atol=1e-14)
+
+    sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    run_labels = [data.draw(st.integers(0, k - 1)) for k in sizes]
+    z = rng.standard_normal(sum(sizes)) * spread
+    runs = ParamStore("float64").add_param("z", z)
+    loss = cross_entropy(runs, run_labels, sizes)
+    backward(loss)
+    want_loss, want_grad = 0.0, []
+    for start, k, label in zip(np.cumsum([0] + sizes[:-1]), sizes, run_labels):
+        run = ParamStore("float64").add_param("run", z[start : start + k].reshape(1, k))
+        one = cross_entropy(run, [label])
+        backward(one)
+        want_loss += one.item()
+        want_grad.append(run.grad[0])
+    assert abs(loss.item() - want_loss / len(sizes)) <= 1e-12
+    want = np.concatenate(want_grad) / len(sizes)
+    np.testing.assert_allclose(runs.grad, want, rtol=0, atol=1e-12)
+
+    rows = ParamStore("float64").add_param("x", x)
+    flat_runs = ParamStore("float64").add_param("x", x.reshape(-1))
+    by_rows, by_runs = cross_entropy(rows, labels), cross_entropy(flat_runs, labels, [c] * n)
+    backward(by_rows)
+    backward(by_runs)
+    assert by_rows.data.tobytes() == by_runs.data.tobytes()
+    assert rows.grad.tobytes() == flat_runs.grad.tobytes()
 
 
 @st.composite

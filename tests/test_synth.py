@@ -194,12 +194,17 @@ class TestCorpusIO:
         (lambda meta: meta.update(vocabulary=5), "'vocabulary' is not an object"),
         (lambda meta: meta["vocabulary"].pop("types"), "'vocabulary' is not an object"),
         (lambda meta: meta["vocabulary"].update(tokens="abc"), "'vocabulary' is not an object"),
+        (lambda meta: meta.pop("operators"), "'operators' is not the operator list"),
+        (lambda meta: meta.update(operators=["+", "-"]), "'operators' is not the operator list"),
+        (lambda meta: meta.update(operators=5), "'operators' is not the operator list"),
     ], ids=["no-task", "no-vocabulary", "unknown-task", "vocabulary-not-object",
-            "vocabulary-no-types", "vocabulary-tokens-not-list"])
+            "vocabulary-no-types", "vocabulary-tokens-not-list", "no-operators",
+            "operators-too-few", "operators-not-list"])
     def test_bad_meta_named(self, tmp_path, edit, message):
-        """A missing key raised a bare KeyError, an unknown task loaded, and a
-        malformed vocabulary raised a bare TypeError or KeyError, or loaded."""
-        save_classify_corpus(tmp_path / "c", gen_classify_corpus(2, 2, seed=1), seed=1)
+        """A missing key raised a bare KeyError, an unknown task loaded, a
+        malformed vocabulary raised a bare TypeError or KeyError, or loaded, and
+        a wrong operator list loaded and failed in training."""
+        save_wrongop_corpus(tmp_path / "c", gen_wrongop_corpus(2, 2, seed=1), seed=1)
         path = tmp_path / "c" / "meta.json"
         meta = json.loads(path.read_text())
         edit(meta)
@@ -246,19 +251,29 @@ class TestCorpusIO:
             load_corpus(self._corrupt_line_2(tmp_path, edit))
 
     @pytest.mark.parametrize(
-        "change",
-        [{"corrupted_op": 99}, {"corrupted_op": "original_op"}, {"original_op": "corrupted_op"}],
-        ids=["unknown", "not_held", "equal_to_original"],
+        "key, change, message",
+        [
+            ("corrupted_op", lambda mut: 99, "corrupted_op"),
+            ("corrupted_op", lambda mut: mut["original_op"], "corrupted_op"),
+            ("original_op", lambda mut: mut["corrupted_op"], "corrupted_op"),
+            ("target_node", lambda mut: mut["target_node"] + 0.9, "bad mutation"),
+            ("target_node", lambda mut: float(mut["target_node"]), "bad mutation"),
+            ("original_op", lambda mut: str(mut["original_op"]), "bad mutation"),
+            ("original_op", lambda mut: True, "bad mutation"),
+        ],
+        ids=["unknown", "not_held", "equal_to_original", "float_target", "integral_float_target",
+             "string_original", "bool_original"],
     )
-    def test_wrongop_corrupted_op_checked_named(self, tmp_path, change):
-        """``corrupted_op`` must be the operator the stored (corrupted) tree
-        holds at ``target_node``, and differ from ``original_op``."""
+    def test_wrongop_corrupted_op_checked_named(self, tmp_path, key, change, message):
+        """Mutation fields are JSON integers, never coerced; ``corrupted_op``
+        must be the operator the stored (corrupted) tree holds at
+        ``target_node``, and differ from ``original_op``."""
         def edit(obj):
             mut = obj["mutation"]
-            mut.update({k: mut[v] if isinstance(v, str) else v for k, v in change.items()})
+            mut[key] = change(mut)
             return json.dumps(obj)
 
-        with pytest.raises(ValueError, match="trees.jsonl line 2: corrupted_op"):
+        with pytest.raises(ValueError, match=f"trees.jsonl line 2: {message}"):
             load_corpus(self._corrupt_line_2(tmp_path, edit))
 
     def test_wrongop_target_without_operator_token_named(self, tmp_path):
