@@ -12,7 +12,10 @@ parent's row.
 No op inside the level loops reads or returns a whole-batch ``[n_rows, d]``
 tensor. Each level's output is its own tensor, and a level reads the rows it
 needs from the tensors they live in, with gradients only for the rows read.
-The whole-batch ``S_up`` and ``S_down`` are assembled once, after the loops.
+The whole-batch ``S_up`` and ``S_down`` are each built once, after their loop:
+one ``scatter_rows`` writes every level's tensor into a single copy of the
+state below it, with no concatenated copy of the levels, and the level list is
+dropped once the state holds its rows.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .model import (
 from .numerics import (
     ParamStore,
     Tensor,
-    concat,
     gather_rows,
     gather_rows_from,
     scatter_rows,
@@ -85,9 +87,8 @@ def batch_state_tensors(
         level_rows.append(rows)
         level_of[rows] = height
         pos[rows] = np.arange(len(rows))
-    S = X
-    if level_rows:
-        S = scatter_rows(X, np.concatenate(level_rows), concat(levels[1:], axis=0))
+    S = scatter_rows(X, list(zip(level_rows, levels[1:]))) if level_rows else X
+    del levels, level_rows  # a level's rows live on in S; its tensor is not read again
     check_finite_states(S.data, "bottom-up", schedule.node_at)
 
     if not config.use_top_down:
@@ -105,9 +106,8 @@ def batch_state_tensors(
         downs.append(prev)
         down_rows.append(rows)
         pos[rows] = np.arange(len(rows))
-    D = S
-    if downs:
-        D = scatter_rows(S, np.concatenate(down_rows), concat(downs, axis=0))
+    D = scatter_rows(S, list(zip(down_rows, downs))) if downs else S
+    del downs, down_rows, prev
     check_finite_states(D.data, "top-down", schedule.node_at)
     return X, S, D, schedule
 

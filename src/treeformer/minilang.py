@@ -167,10 +167,16 @@ class _Builder:
 
 
 class _Parser:
+    # parentheses, unary minuses and blocks nested deeper than this are a
+    # ParseError; a level costs at most four Python frames, so the deepest
+    # program parses well inside the interpreter's recursion limit
+    MAX_NESTING = 100
+
     def __init__(self, tokens: list[Token], builder: _Builder):
         self.tokens = tokens
         self.pos = 0
         self.b = builder
+        self.depth = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -193,6 +199,15 @@ class _Parser:
     def at(self, kind: str, text: str | None = None) -> bool:
         tok = self.peek()
         return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+
+    def _nested(self, parse) -> int:
+        """``parse()`` one nesting level below the token just consumed."""
+        if self.depth == self.MAX_NESTING:
+            raise ParseError(f"nesting deeper than {self.MAX_NESTING} levels", self.pos - 1)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def program(self) -> int:
         stmts = [self.statement()]
@@ -233,7 +248,7 @@ class _Parser:
         while not self.at("punct", "}"):
             if self.peek() is None:
                 raise ParseError("unterminated block", self.pos, expected=("}",))
-            stmts.append(self.statement())
+            stmts.append(self._nested(self.statement))
         self.expect("punct", "}")
         return self.b.node("block", children=tuple(stmts))
 
@@ -257,9 +272,7 @@ class _Parser:
             return self.b.node("if-stmt", children=(cond, then, other))
         return self.b.node("if-stmt", children=(cond, then))
 
-    def expr(self) -> int:
-        return self._binary(0)
-
+    # binary operators by precedence, loosest first; all left-associative
     _LEVELS = (
         ("or",),
         ("and",),
@@ -267,26 +280,33 @@ class _Parser:
         ("+", "-"),
         ("*", "/", "%"),
     )
+    _LEVEL_OF = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
 
-    def _binary(self, level: int) -> int:
-        if level == len(self._LEVELS):
-            return self.unary()
-        ops = self._LEVELS[level]
-        left = self._binary(level + 1)
+    def expr(self) -> int:
+        """Unary operands joined by binary operators, reduced on an operator
+        stack, so a chain costs no Python frames whatever its precedences."""
+        operands = [self.unary()]
+        pending: list[tuple[int, int]] = []  # (level, operator leaf)
         while True:
             tok = self.peek()
-            if tok is None or tok.text not in ops or tok.kind not in ("op", "keyword"):
-                return left
+            level = -1
+            if tok is not None and tok.kind in ("op", "keyword"):
+                level = self._LEVEL_OF.get(tok.text, -1)
+            while pending and pending[-1][0] >= level:
+                op_leaf = pending.pop()[1]
+                right = operands.pop()
+                operands.append(self.b.node("binop", children=(operands.pop(), op_leaf, right)))
+            if level < 0:
+                return operands[0]
             self.advance()
-            op_leaf = self.b.node("binop-operator", token=tok.text)
-            right = self._binary(level + 1)
-            left = self.b.node("binop", children=(left, op_leaf, right))
+            pending.append((level, self.b.node("binop-operator", token=tok.text)))
+            operands.append(self.unary())
 
     def unary(self) -> int:
         if self.at("op", "-"):
             self.advance()
             op_leaf = self.b.node("unary-operator", token="-")
-            operand = self.unary()
+            operand = self._nested(self.unary)
             return self.b.node("unary", children=(op_leaf, operand))
         return self.primary()
 
@@ -303,7 +323,7 @@ class _Parser:
         if tok.kind == "punct" and tok.text == "(":
             self.advance()
             lp = self.b.node("lparen", token="(")
-            inner = self.expr()
+            inner = self._nested(self.expr)
             self.expect("punct", ")")
             rp = self.b.node("rparen", token=")")
             return self.b.node("paren-expr", children=(lp, inner, rp))

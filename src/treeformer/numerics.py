@@ -275,22 +275,30 @@ def gather_rows_from(n: int, parts: Sequence[tuple]) -> Tensor:
     return _make(data, sources, bw)
 
 
-def scatter_rows(a, idx, rows) -> Tensor:
-    """Functional row update: result equals ``a`` with ``a[idx] = rows``.
+def scatter_rows(a, parts: Sequence[tuple]) -> Tensor:
+    """Functional row update: ``a`` with ``a[rows] = source`` for each
+    ``(rows, source)`` of ``parts``, written into one copy of ``a``.
 
-    ``idx`` entries must be unique.
+    No row may be written twice, within a part or across parts: a ShapeError
+    names the first such row. Each source's gradient is ``g[rows]``.
     """
-    a, rows = _as_tensor(a), _as_tensor(rows)
-    idx = np.asarray(idx, dtype=np.intp)
+    a = _as_tensor(a)
+    sources = tuple(_as_tensor(src) for _, src in parts)
+    rows = [np.asarray(at, dtype=np.intp) for at, _ in parts]  # bw never reads the sources
+    twice = np.bincount(np.concatenate([np.zeros(0, np.intp), *rows])) > 1
+    if twice.any():
+        raise ShapeError(f"scatter_rows writes row {int(np.argmax(twice))} more than once")
     data = a.data.copy()
-    data[idx] = rows.data
+    for at, src in zip(rows, sources):
+        data[at] = src.data
 
     def bw(g):
         ga = g.copy()
-        ga[idx] = 0.0
-        return ga, g[idx]
+        for at in rows:
+            ga[at] = 0.0
+        return (ga, *(g[at] for at in rows))
 
-    return _make(data, (a, rows), bw)
+    return _make(data, (a, *sources), bw)
 
 
 def softmax(a, axis: int = -1) -> Tensor:

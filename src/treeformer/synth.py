@@ -475,8 +475,9 @@ def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> Mu
 def load_corpus(corpus_dir) -> Corpus:
     """A corpus directory; a ``meta.json`` without ``task`` or ``vocabulary``,
     naming an unknown task, whose vocabulary is not an object with ``types``
-    and ``tokens`` lists of strings, or, for wrongop, whose ``operators`` is
-    not ``OPS_MINI``, is a ValueError naming the file."""
+    and ``tokens`` lists of strings, whose ``classes`` or ``node_classes`` is
+    present but not a JSON integer >= 1, or, for wrongop, whose ``operators``
+    is not ``OPS_MINI``, is a ValueError naming the file."""
     meta_path = os.path.join(corpus_dir, "meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -499,6 +500,9 @@ def load_corpus(corpus_dir) -> Corpus:
             f"{meta_path}: 'vocabulary' is not an object with 'types' and 'tokens'"
             " lists of strings"
         )
+    for key in ("classes", "node_classes"):
+        if key in meta and not (type(meta[key]) is int and meta[key] >= 1):
+            raise ValueError(f"{meta_path}: {key!r} is {meta[key]!r}, not a JSON integer >= 1")
     vocab = Vocabulary.from_obj(vocabulary)
     trees_path = os.path.join(corpus_dir, "trees.jsonl")
     if task == "wrongop":

@@ -166,6 +166,19 @@ class Metrics:
         return out
 
 
+def _class_count(meta: dict, key: str, tops: list) -> int:
+    """``meta[key]``, or one more than the largest label when it is absent;
+    ``tops`` holds each tree's largest label, None for an unlabeled tree. A
+    count that leaves a label out is a ValueError naming the key and tree."""
+    classes = meta.get(key)
+    if classes is None:
+        return 1 + max(top for top in tops if top is not None)
+    for i, top in enumerate(tops):
+        if top is not None and top >= classes:
+            raise ValueError(f"{key!r} is {classes}, but tree {i} has label {top}")
+    return classes
+
+
 def model_config_for(config: TrainConfig, corpus: Corpus) -> ModelConfig:
     max_branch = max(branching_stats(t).max_children for t in corpus.trees)
     if max_branch > config.max_children:
@@ -174,29 +187,23 @@ def model_config_for(config: TrainConfig, corpus: Corpus) -> ModelConfig:
         )
     head = {}
     if config.task == "classify":
-        classes = corpus.meta.get("classes")
-        if not classes:
-            unlabeled = [i for i, t in enumerate(corpus.trees) if t.tree_label is None]
-            if unlabeled:
-                raise ValueError(
-                    f"classify corpus has no 'classes' in its meta and tree {unlabeled[0]}"
-                    " has no label to count them from"
-                )
-            classes = 1 + max(t.tree_label for t in corpus.trees)
-        head["classify_classes"] = int(classes)
+        tops = [t.tree_label for t in corpus.trees]
+        if corpus.meta.get("classes") is None and None in tops:
+            raise ValueError(
+                f"classify corpus has no 'classes' in its meta and tree {tops.index(None)}"
+                " has no label to count them from"
+            )
+        head["classify_classes"] = _class_count(corpus.meta, "classes", tops)
     elif config.task == "wrongop":
         head["operator_classes"] = len(corpus.meta["operators"])
     else:
-        classes = corpus.meta.get("node_classes")
-        if classes is None:
-            labels = [max(t.node_labels.values()) for t in corpus.trees if t.node_labels]
-            if not labels:
-                raise ValueError(
-                    "node-classify corpus has no 'node_classes' in its meta and no tree"
-                    " with node_labels to count them from"
-                )
-            classes = 1 + max(labels)
-        head["node_classes"] = int(classes)
+        tops = [max(t.node_labels.values()) if t.node_labels else None for t in corpus.trees]
+        if corpus.meta.get("node_classes") is None and tops.count(None) == len(tops):
+            raise ValueError(
+                "node-classify corpus has no 'node_classes' in its meta and no tree"
+                " with node_labels to count them from"
+            )
+        head["node_classes"] = _class_count(corpus.meta, "node_classes", tops)
     return ModelConfig(
         d=config.d,
         heads=config.heads,
@@ -222,14 +229,17 @@ class TaskForward:
     ``logits`` and ``targets`` hold one entry per item: tree-class logits and
     labels (classify), node-class logits and labels of the labeled nodes
     (node-classify), or each tree's 1-D pointer logits over its candidates
-    only, and the gold candidate's index among them (wrongop).
+    only, and the gold candidate's index among them (wrongop). ``nodes``
+    names the items: for node-classify, two int arrays of each labeled
+    node's tree index in the batch and node id; for wrongop, each tree's
+    candidate ids.
     """
 
     loss: Tensor | None  # mean over the items; None when the batch has none
     items: int  # trees for classify and wrongop, labeled nodes for node-classify
     logits: np.ndarray | list  # wrongop: one [candidates] array per tree
     targets: np.ndarray
-    nodes: list | None = None  # wrongop: candidate ids per tree; node-classify: (tree, node id)
+    nodes: list | tuple | None = None  # wrongop: a list; node-classify: (tree, node id) arrays
     repair_logits: list | None = None  # wrongop: one [candidates, operator classes] array per tree
     repair_targets: np.ndarray | None = None  # wrongop: original operator per tree
 
@@ -249,7 +259,8 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
     """Encode ``batch`` (trees, or mutation records for wrongop) once and apply the task head."""
     trees = [r.tree for r in batch] if task == "wrongop" else batch
     if task == "node-classify" and not any(tree.node_labels for tree in trees):
-        return TaskForward(None, 0, np.zeros((0, cfg.node_classes)), np.zeros(0, np.intp), [])
+        none = np.zeros(0, np.intp)
+        return TaskForward(None, 0, np.zeros((0, cfg.node_classes)), none, (none, none))
     _, _, D, schedule = batch_state_tensors(trees, params, cfg)
     if task == "classify":
         logits = linear(
@@ -280,8 +291,7 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
     labels = np.concatenate([a.label for a in arrays])
     rows = np.flatnonzero(labels >= 0)
     tree_of = np.repeat(np.arange(len(trees)), [len(a.ids) for a in arrays])
-    nids = np.concatenate([a.ids for a in arrays])[rows]
-    where = list(zip(tree_of[rows].tolist(), nids.tolist()))
+    where = (tree_of[rows], np.concatenate([a.ids for a in arrays])[rows])
     logits = linear(gather_rows(D, rows), params["head.node.w"], params["head.node.b"])
     labels = labels[rows]
     return TaskForward(cross_entropy(logits, labels), len(labels), logits.data, labels, where)
@@ -312,16 +322,33 @@ def _prediction_rows(task: str, out: TaskForward, base: int) -> list[dict]:
             {"sample": base + i, "pred": int(p), "gold": int(g)}
             for i, (p, g) in enumerate(zip(pred, out.targets))
         ]
+    tree, nid = out.nodes
     return [
-        {"sample": base + t, "node": int(nid), "pred": int(p), "gold": int(g)}
-        for (t, nid), p, g in zip(out.nodes, pred, out.targets)
+        {"sample": base + t, "node": n, "pred": p, "gold": g}
+        for t, n, p, g in zip(tree.tolist(), nid.tolist(), pred.tolist(), out.targets.tolist())
     ]
 
 
+def _hits(task: str, out: TaskForward) -> np.ndarray:
+    """A batch's correct items: ``[hits]``, or ``[located, located and repaired]`` for wrongop."""
+    if task == "wrongop":
+        # argmax takes the first maximum, as in the prediction rows
+        pred = [int(np.argmax(logits)) for logits in out.logits]
+        located = np.array(pred) == out.targets
+        ops = np.array([np.argmax(repair[p]) for repair, p in zip(out.repair_logits, pred)])
+        return np.array([located.sum(), (located & (ops == out.repair_targets)).sum()])
+    return np.array([(np.argmax(out.logits, axis=1) == out.targets).sum()])
+
+
 def _evaluate_params(
-    params: ParamStore, cfg: ModelConfig, corpus: Corpus, batch_size: int = 64
-) -> tuple[Metrics, list[dict]]:
-    """Metrics and prediction rows; each batch's mean loss is weighted by its item count.
+    params: ParamStore,
+    cfg: ModelConfig,
+    corpus: Corpus,
+    batch_size: int = 64,
+    with_rows: bool = False,
+) -> tuple[Metrics, list[dict] | None]:
+    """Metrics, and the prediction rows when ``with_rows`` (else None); each
+    batch's mean loss is weighted by its item count.
 
     Runs without recording a tape.
     """
@@ -332,7 +359,8 @@ def _evaluate_params(
         raise ValueError(f"cannot evaluate on an empty {task} corpus")
     total_loss = 0.0
     items = 0
-    rows: list[dict] = []
+    hits = np.zeros(2 if task == "wrongop" else 1, dtype=np.intp)
+    rows: list[dict] | None = [] if with_rows else None
     for start in range(0, n, batch_size):
         with no_grad():
             out = task_forward(task, data[start : start + batch_size], params, cfg)
@@ -340,14 +368,15 @@ def _evaluate_params(
             continue
         total_loss += out.loss.item() * out.items
         items += out.items
-        rows += _prediction_rows(task, out, start)
+        hits += _hits(task, out)
+        if with_rows:
+            rows += _prediction_rows(task, out, start)
     denom = max(items, 1)
+    hits = hits.tolist()
     if task == "wrongop":
-        loc = [r["pred_node"] == r["gold_node"] for r in rows]
-        joint = [ok and r["pred_op"] == r["gold_op"] for ok, r in zip(loc, rows)]
-        accuracies = {"loc_accuracy": sum(loc) / denom, "joint_accuracy": sum(joint) / denom}
+        accuracies = {"loc_accuracy": hits[0] / denom, "joint_accuracy": hits[1] / denom}
     else:
-        accuracies = {"accuracy": sum(r["pred"] == r["gold"] for r in rows) / denom}
+        accuracies = {"accuracy": hits[0] / denom}
     return Metrics(task, total_loss / denom, n, **accuracies), rows
 
 
@@ -394,7 +423,7 @@ def evaluate(checkpoint, corpus: Corpus, predictions_path=None, batch_size: int 
         params, cfg = checkpoint
     if cfg.task != corpus.task:
         raise ValueError(f"model head is {cfg.task!r} but corpus task is {corpus.task!r}")
-    metrics, predictions = _evaluate_params(params, cfg, corpus, batch_size)
+    metrics, predictions = _evaluate_params(params, cfg, corpus, batch_size, bool(predictions_path))
     if predictions_path:
         _write_predictions(predictions_path, predictions)
     return metrics
@@ -525,7 +554,7 @@ def train(
         row = {"epoch": epoch, "train_loss": epoch_loss / max(epoch_items, 1)}
         if eval_corpus is not None:
             final_eval, predictions = _evaluate_params(
-                params, cfg, eval_corpus, config.batch_size
+                params, cfg, eval_corpus, config.batch_size, bool(out_dir)
             )
             for key, value in final_eval.to_dict().items():
                 if key not in ("task", "samples"):

@@ -128,6 +128,25 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("a = 1; )")
 
+    @pytest.mark.parametrize("source, at", [
+        ("x = " + "(" * 200 + "1" + ")" * 200 + ";", 102),
+        ("x = " + "-" * 2000 + "1;", 102),
+        ("{" * 600 + "}" * 600, 100),
+    ], ids=["parens-200", "unary-2000", "blocks-600"])
+    def test_deep_nesting_named(self, source, at):
+        """Nesting past the bound raised a bare RecursionError (at 110
+        parentheses, 984 unary minuses); now a ParseError at the token that
+        opens level 101."""
+        with pytest.raises(ParseError, match=f"^token {at}: nesting deeper than 100 levels$"):
+            parse(source)
+
+    @pytest.mark.parametrize("chain", ["", "a or b and c == d < e + f * "],
+                             ids=["bare", "operator-chain"])
+    def test_nesting_within_bound_parses(self, chain):
+        """A chain of every precedence inside each level costs no extra frames."""
+        tree = parse("x = " + (chain + "(") * 100 + "1" + ")" * 100 + ";")
+        assert sum(ttype(tree, nid) == "paren-expr" for nid in tree.nodes) == 100
+
     def test_empty_source(self):
         with pytest.raises(ParseError):
             parse("")

@@ -310,7 +310,13 @@ def _(p):
 
 @_case("scatter_rows")
 def _(p):
-    return weighted_sum(nm.scatter_rows(p["x34"], np.array([1]), p["r14"]), C34)
+    return weighted_sum(nm.scatter_rows(p["x34"], [(np.array([1]), p["r14"])]), C34)
+
+
+@_case("scatter_rows_parts")
+def _(p):
+    parts = [(np.array([2]), p["r14"]), (np.array([0]), nm.gather_rows(p["z34"], [1]))]
+    return weighted_sum(nm.scatter_rows(p["x34"], parts), C34)
 
 
 @_case("cross_entropy")
@@ -519,6 +525,44 @@ def test_attention_rejects_blocks_that_miss_rows():
         run(params, [(4, 4, 2), (2, 3, 3)])
     with pytest.raises(ShapeError, match="narrower"):
         run(params, [(7, 7, 2)])  # 14 rows, a block wider than the table
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_parts_equal_one_concatenated_part(self, dtype):
+        """Writing several parts into one copy gives, bit for bit, the values and
+        gradients of concatenating them and writing the concatenation."""
+        rows = [np.array([5, 1, 7]), np.array([0]), np.array([3, 8])]
+
+        def run():
+            rng = np.random.default_rng(11)
+            params = ParamStore(dtype)
+            a = params.add_param("a", rng.standard_normal((9, 4)))
+            sources = [params.add_param(f"s{i}", rng.standard_normal((len(r), 4)))
+                       for i, r in enumerate(rows)]
+            return params, a, sources
+
+        seed = np.random.default_rng(12).standard_normal((9, 4))
+        params, a, sources = run()
+        out = nm.scatter_rows(a, list(zip(rows, sources)))
+        backward(out, seed)
+        want_params, a, sources = run()
+        want = nm.scatter_rows(a, [(np.concatenate(rows), nm.concat(sources))])
+        backward(want, seed)
+        assert out.data.tobytes() == want.data.tobytes()
+        for name in params.names():
+            assert params[name].grad.tobytes() == want_params[name].grad.tobytes(), name
+
+    @pytest.mark.parametrize("parts, row", [
+        ([(np.array([1, 1]), np.ones((2, 4)))], 1),
+        ([(np.array([0, 2]), np.ones((2, 4))), (np.array([2]), np.ones((1, 4)))], 2),
+    ], ids=["within-a-part", "across-parts"])
+    def test_row_written_twice_named(self, parts, row):
+        """A repeated row kept the last value but gave every source row the full
+        gradient."""
+        x = ParamStore("float64").add_param("x", np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match=f"writes row {row} more than once"):
+            nm.scatter_rows(x, [(rows, constant(src)) for rows, src in parts])
 
 
 def test_attention_nan_query_named():

@@ -181,7 +181,7 @@ def test_node_head_rows_match_sorted_labels(batch, seed):
             labels.append(label)
             where.append((t, nid))
     logits = linear(gather_rows(D, rows), params["head.node.w"], params["head.node.b"])
-    assert out.nodes == where
+    assert list(zip(*(a.tolist() for a in out.nodes))) == where
     assert out.targets.tolist() == labels and out.items == len(labels)
     assert out.logits.tobytes() == logits.data.tobytes()
     assert out.loss.item() == cross_entropy(logits, labels).item()

@@ -212,6 +212,22 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             load_corpus(tmp_path / "c")
 
+    @pytest.mark.parametrize("key, value", [
+        ("classes", "3"), ("classes", 3.9), ("classes", True), ("classes", 0),
+        ("node_classes", 2.0),
+    ], ids=["string", "float", "bool", "zero", "node-float"])
+    def test_class_count_not_integer_named(self, tmp_path, key, value):
+        """A class count that is not a JSON integer >= 1 was coerced by ``int()``
+        ("3" and 3.9 loaded as 3, true as 1) or, when 0, silently recounted."""
+        save_classify_corpus(tmp_path / "c", gen_classify_corpus(3, 2, seed=1), seed=1)
+        path = tmp_path / "c" / "meta.json"
+        meta = json.loads(path.read_text())
+        meta[key] = value
+        path.write_text(json.dumps(meta))
+        message = f"{key!r} is {value!r}, not a JSON integer >= 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            load_corpus(tmp_path / "c")
+
     def _corrupt_line_2(self, tmp_path, edit):
         save_wrongop_corpus(tmp_path / "w", gen_wrongop_corpus(3, 2, seed=3), seed=3)
         path = tmp_path / "w" / "trees.jsonl"

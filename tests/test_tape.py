@@ -156,7 +156,7 @@ def run_program(program):
             out = nm.gather_rows(x, more[0])
         elif op == "scatter_rows":
             idx, b, src = more
-            out = nm.scatter_rows(x, idx, nm.gather_rows(pool[b], src))
+            out = nm.scatter_rows(x, [(idx, nm.gather_rows(pool[b], src))])
         elif op == "add_layer_norm":
             r = pool[more[0]] if more[0] is not None else nm.gather_rows(
                 bias, np.zeros(x.shape[0], np.intp)

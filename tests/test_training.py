@@ -361,8 +361,35 @@ class TestModelConfigFor:
         with pytest.raises(ValueError, match="no 'classes' in its meta and tree 2 has no label"):
             model_config_for(tiny_train_config(), replace(corpus, trees=trees, meta=meta))
 
+    @pytest.mark.parametrize("task, key, classes, message", [
+        ("classify", "classes", 2, "'classes' is 2, but tree 12 has label 2"),
+        ("node-classify", "node_classes", 1, "'node_classes' is 1, but tree 0 has label 1"),
+    ], ids=["classify", "node-classify"])
+    def test_class_count_below_labels_named(self, task, key, classes, message):
+        """A count that leaves a label out passed until the loss raised
+        ``IndexError: label 2 ... outside [0, 2)``."""
+        corpus = classify_corpus() if task == "classify" else node_corpus()
+        corpus = replace(corpus, meta={**corpus.meta, key: classes})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_config_for(tiny_train_config(task=task), corpus)
+
 
 class TestEvaluate:
+    @pytest.mark.parametrize("task", ["classify", "wrongop", "node-classify"])
+    def test_no_prediction_rows_without_a_file(self, monkeypatch, task):
+        """``evaluate`` without ``predictions_path``, and ``train`` without
+        ``out_dir``, count hits on arrays and build no prediction row."""
+        corpus = {"classify": classify_corpus, "wrongop": wrongop_corpus,
+                  "node-classify": node_corpus}[task]()
+        cfg = model_config_for(tiny_train_config(task=task), corpus)
+
+        def refuse(*args):
+            raise AssertionError("prediction rows built")
+
+        monkeypatch.setattr(training, "_prediction_rows", refuse)
+        evaluate((init_params(cfg, seed=0), cfg), corpus, batch_size=4)
+        train(tiny_train_config(task=task, epochs=1), corpus, eval_corpus=corpus)
+
     def test_node_mean_loss_independent_of_batch_size(self):
         """Each batch's mean loss counts by its labeled nodes, not by its trees."""
         rng = np.random.default_rng(8)
