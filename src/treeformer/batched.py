@@ -6,8 +6,10 @@ takes the level's parent rows and all their children's rows as one flat
 tensor, bucket after bucket, each parent's children on consecutive rows; only
 the attention op reads the bucket boundaries. A bucket's width is its
 parents' exact child count, so no row is padding. The top-down unit is
-row-wise and runs once per depth on the rows of that depth, each with its
-parent's row.
+row-wise and runs once per depth on the rows of that depth that a caller
+reads or that are an ancestor of one, each with its parent's row; a task
+head that reads a few rows skips the rest of the pass, and each row computed
+keeps the bits the full pass gives it.
 
 No op inside the level loops reads or returns a whole-batch ``[n_rows, d]``
 tensor. Each level's output is its own tensor, and a level reads the rows it
@@ -57,13 +59,20 @@ def _read_children(
 
 
 def batch_state_tensors(
-    trees: list[SyntaxTree], params: ParamStore, config: ModelConfig
+    trees: list[SyntaxTree],
+    params: ParamStore,
+    config: ModelConfig,
+    reads: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, Schedule]:
     """Embed and propagate a batch; returns (X, S_up, S_down, schedule).
 
     All three are ``[n_rows, d]`` in the ``schedule.row_index`` layout.
-    Raises NonFiniteError naming the pass, tree and node if a returned state
-    holds NaN or Inf.
+    ``reads`` names the global rows the caller reads from ``S_down``; None
+    means every row. The top-down pass runs only on those rows and their
+    ancestors, so ``S_down`` holds the final state there and the bottom-up
+    state at every other row, which no read depends on. Raises
+    NonFiniteError naming the pass, tree and node if a returned state holds
+    NaN or Inf.
     """
     schedule = build_schedule(trees)
     arrays = tree_arrays(trees)
@@ -94,15 +103,32 @@ def batch_state_tensors(
     if not config.use_top_down:
         return X, S, S, schedule
 
+    # marked rows: the rows read and, deepest level first, each marked
+    # child's parent, so the marked set is closed under ancestors
+    marked = np.zeros(schedule.n_rows, dtype=bool)
+    marked[slice(None) if reads is None else reads] = True
+    for group in reversed(schedule.top_down_levels):
+        (bucket,) = group.buckets
+        marked[bucket.parents[marked[bucket.child_rows[:, 0]]]] = True
+
     # prev holds the final states of the parents' depth, row pos[r] for row r;
     # it starts as S: a root's final state is its bottom-up state
     prev, pos = S, np.arange(schedule.n_rows)
     downs, down_rows = [], []
     for group in schedule.top_down_levels:
         (bucket,) = group.buckets
-        rows = bucket.child_rows[:, 0]
-        h_parent = gather_rows(prev, pos[bucket.parents])
-        prev = top_down_step(h_parent, gather_rows(S, rows), params)
+        keep = marked[bucket.child_rows[:, 0]]
+        if not keep.any():
+            break  # no deeper row is marked either
+        rows, parents = bucket.child_rows[keep, 0], bucket.parents[keep]
+        # numpy multiplies a lone row as a matrix-vector product, which rounds
+        # unlike the full level's matrix product: a lone marked row of a wider
+        # level runs twice and keeps the first, so it gets the full pass's bits
+        twin = len(rows) == 1 < len(keep)
+        h_parent = gather_rows(prev, np.repeat(pos[parents], 1 + twin))
+        prev = top_down_step(h_parent, gather_rows(S, np.repeat(rows, 1 + twin)), params)
+        if twin:
+            prev = gather_rows(prev, [0])
         downs.append(prev)
         down_rows.append(rows)
         pos[rows] = np.arange(len(rows))

@@ -9,7 +9,8 @@ feed-forward layer with layer norms finishes the state. Top-down, a parent's
 final state is added onto each of its children's bottom-up states and
 passed through a second feed-forward unit; the root's top-down state is its
 bottom-up state. Node vectors after the top-down pass are the final
-representations. ``bottom_up_step`` updates one level of parents at once,
+representations; the batched path computes them only at the rows a task head
+reads and their ancestors. ``bottom_up_step`` updates one level of parents at once,
 from their children's states as flat rows, each parent's children on
 consecutive rows; the naive recursion here calls it with one block of one
 parent. Every op of the step runs once over the level's rows. Both attentions

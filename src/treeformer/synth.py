@@ -455,7 +455,7 @@ def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> Mu
         )
     target, original, corrupted = (mut[key] for key in keys)
     source_hash = mut["source_hash"]
-    tree = tree_from_obj(obj, vocab, lineno)
+    tree = tree_from_obj(obj, vocab, lineno, path)
     if target not in operator_nodes(tree, vocab):
         raise ValueError(f"{where}: target_node {target} is not an operator leaf")
     if not 0 <= original < len(OPS_MINI):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .batched import batch_state_tensors
-from .minilang import operator_nodes
+from .minilang import MINI_VOCAB
 from .model import ModelConfig, init_params
 from .numerics import (
     CheckpointError,
@@ -256,23 +256,35 @@ def pooled_rows(D: Tensor, schedule: Schedule, params: ParamStore) -> Tensor:
 
 
 def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -> TaskForward:
-    """Encode ``batch`` (trees, or mutation records for wrongop) once and apply the task head."""
+    """Encode ``batch`` (trees, or mutation records for wrongop) once and apply the task head.
+
+    The wrongop and node-classify heads name the rows they read before the
+    encoder runs, so its top-down pass skips every row that no read depends on.
+    """
     trees = [r.tree for r in batch] if task == "wrongop" else batch
-    if task == "node-classify" and not any(tree.node_labels for tree in trees):
-        none = np.zeros(0, np.intp)
-        return TaskForward(None, 0, np.zeros((0, cfg.node_classes)), none, (none, none))
-    _, _, D, schedule = batch_state_tensors(trees, params, cfg)
-    if task == "classify":
+    if task == "classify":  # the pool reads every row
+        _, _, D, schedule = batch_state_tensors(trees, params, cfg)
         logits = linear(
             pooled_rows(D, schedule, params), params["head.classify.w"], params["head.classify.b"]
         )
         labels = np.array([t.tree_label for t in trees], dtype=np.intp)
         return TaskForward(cross_entropy(logits, labels), len(trees), logits.data, labels)
+    if task == "node-classify" and not any(tree.node_labels for tree in trees):
+        none = np.zeros(0, np.intp)
+        return TaskForward(None, 0, np.zeros((0, cfg.node_classes)), none, (none, none))
+    # rows run tree by tree and, within a tree, by ascending node id
+    arrays = tree_arrays(trees)
+    tree_of = np.repeat(np.arange(len(trees)), [len(a.ids) for a in arrays])
+    ids = np.concatenate([a.ids for a in arrays])
     if task == "wrongop":
-        cands = [operator_nodes(tree) for tree in trees]
-        rows = [schedule.row_index[i][nid] for i, cand in enumerate(cands) for nid in cand]
-        sizes = [len(cand) for cand in cands]
-        crows = gather_rows(D, rows)  # one row per real candidate, tree by tree
+        # the candidates of minilang.operator_nodes, one row per real candidate
+        op_type = MINI_VOCAB.type_id("binop-operator")
+        rows = np.flatnonzero(np.concatenate([a.type_id for a in arrays]) == op_type)
+        _, _, D, _ = batch_state_tensors(trees, params, cfg, rows)
+        sizes = np.bincount(tree_of[rows], minlength=len(trees))
+        ends = np.cumsum(sizes)
+        cands = [cand.tolist() for cand in np.split(ids[rows], ends[:-1])]
+        crows = gather_rows(D, rows)
         # one dot per candidate: a flat [rows, d] @ [d, 1] product rounds by
         # row position, which would give equal-content candidates unequal
         # logits, so each candidate runs as its own [1, d] @ [d, 1] product
@@ -281,19 +293,16 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
         repair = linear(crows, params["head.repair.w"], params["head.repair.b"])
         targets = np.array([c.index(r.target_node) for c, r in zip(cands, batch)], dtype=np.intp)
         ops = np.array([r.original_op for r in batch], dtype=np.intp)
-        ends = np.cumsum(sizes)
         gold = gather_rows(repair, ends - sizes + targets)
         loss = add(cross_entropy(pointer, targets, sizes), cross_entropy(gold, ops))
         logits, repair_logits = (np.split(t.data, ends[:-1]) for t in (pointer, repair))
         return TaskForward(loss, len(batch), logits, targets, cands, repair_logits, ops)
-    # rows run tree by tree and, within a tree, by ascending node id
-    arrays = tree_arrays(trees)
     labels = np.concatenate([a.label for a in arrays])
     rows = np.flatnonzero(labels >= 0)
-    tree_of = np.repeat(np.arange(len(trees)), [len(a.ids) for a in arrays])
-    where = (tree_of[rows], np.concatenate([a.ids for a in arrays])[rows])
+    _, _, D, _ = batch_state_tensors(trees, params, cfg, rows)
     logits = linear(gather_rows(D, rows), params["head.node.w"], params["head.node.b"])
     labels = labels[rows]
+    where = (tree_of[rows], ids[rows])
     return TaskForward(cross_entropy(logits, labels), len(labels), logits.data, labels, where)
 
 

@@ -36,10 +36,11 @@ class CycleDetected(ValidationError):
 
 
 class ParseError(Exception):
-    """A tree file line could not be decoded."""
+    """A tree file line could not be decoded; the message names the file and line when known."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+    def __init__(self, message: str, line: int | None = None, path: str | None = None):
+        where = " ".join(filter(None, (path, None if line is None else f"line {line}")))
+        super().__init__(f"{where}: {message}" if where else message)
         self.line = line
 
 
@@ -410,32 +411,68 @@ def tree_digest(tree: SyntaxTree, vocab: Vocabulary) -> str:
     return hashlib.sha256(tree_to_line(tree, vocab).encode("utf-8")).hexdigest()
 
 
-def tree_from_obj(obj: dict, vocab: Vocabulary, line: int | None = None) -> SyntaxTree:
+def _canonical_int(key: str) -> int | None:
+    """The integer a JSON object key spells in canonical decimal, else None."""
     try:
-        root = int(obj["root"])
-        label = obj["label"]
-        raw_nodes = obj["nodes"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad tree object: {exc}", line) from exc
-    if label is not None:
-        label = int(label)
+        value = int(key)
+    except ValueError:
+        return None
+    return value if str(value) == key else None
+
+
+def tree_from_obj(
+    obj: dict, vocab: Vocabulary, line: int | None = None, path: str | None = None
+) -> SyntaxTree:
+    """The tree a JSON object describes, as ``tree_to_obj`` writes it.
+
+    Ids, children, the root and labels must be JSON integers, and
+    ``node_labels`` keys their canonical decimal strings: a float, string or
+    bool is refused, not coerced. A node label must be >= 0 and name a node
+    of the tree. A bad object raises ParseError naming ``path`` and ``line``.
+    """
+    try:
+        root, label, raw_nodes = obj["root"], obj["label"], obj["nodes"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad tree object: {exc}", line, path) from exc
+    if type(root) is not int:
+        raise ParseError(f"root must be a JSON integer, got {root!r}", line, path)
+    if label is not None and type(label) is not int:
+        raise ParseError(f"label must be a JSON integer or null, got {label!r}", line, path)
+    if type(raw_nodes) is not list:
+        raise ParseError(f"nodes must be a list, got {type(raw_nodes).__name__}", line, path)
     nodes: list[SyntaxNode] = []
     for rn in raw_nodes:
         try:
-            token = rn["token"]
-            nodes.append(
-                SyntaxNode(
-                    id=int(rn["id"]),
-                    type_id=vocab.type_id(rn["type"]),
-                    token_id=None if token is None else vocab.token_id(token),
-                    children=tuple(int(c) for c in rn["children"]),
-                )
+            nid, children, token = rn["id"], rn["children"], rn["token"]
+            type_id = vocab.type_id(rn["type"])
+            token_id = None if token is None else vocab.token_id(token)
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad node object: {exc}", line, path) from exc
+        if type(nid) is not int or type(children) is not list:
+            raise ParseError(
+                f"bad node object {rn!r}: needs an integer id and a children list", line, path
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad node object: {exc}", line) from exc
+        if not all(type(c) is int for c in children):
+            raise ParseError(
+                f"node {nid}: children must be JSON integers, got {children!r}", line, path
+            )
+        nodes.append(SyntaxNode(nid, type_id, token_id, tuple(children)))
     node_labels = None
     if "node_labels" in obj:
-        node_labels = {int(k): int(v) for k, v in obj["node_labels"].items()}
+        raw = obj["node_labels"]
+        if type(raw) is not dict:
+            raise ParseError(f"node_labels must be an object, got {type(raw).__name__}", line, path)
+        ids, node_labels = {n.id for n in nodes}, {}
+        for key, value in raw.items():
+            nid = _canonical_int(key)
+            if nid not in ids or type(value) is not int or value < 0:
+                raise ParseError(
+                    f"node_labels entry {key!r}: {value!r} needs a node id of the tree"
+                    " and an integer label >= 0",
+                    line,
+                    path,
+                )
+            node_labels[nid] = value
     tree = SyntaxTree.from_nodes(nodes, root, label, node_labels)
     validate(tree)
     return tree
@@ -452,6 +489,8 @@ def save_trees(trees: Iterable[SyntaxTree], path, vocab: Vocabulary) -> None:
 
 
 def iter_tree_lines(path, vocab: Vocabulary) -> Iterator[SyntaxTree]:
+    """The trees of a JSON-lines file; a bad line's error names the file and line."""
+    path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -460,11 +499,11 @@ def iter_tree_lines(path, vocab: Vocabulary) -> Iterator[SyntaxTree]:
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
-                raise ParseError(str(exc), lineno) from exc
+                raise ParseError(str(exc), lineno, path) from exc
             try:
-                yield tree_from_obj(obj, vocab, lineno)
+                yield tree_from_obj(obj, vocab, lineno, path)
             except ValidationError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from exc
+                raise type(exc)(f"{path} line {lineno}: {exc}") from exc
 
 
 def load_trees(path, vocab: Vocabulary) -> list[SyntaxTree]:

@@ -716,6 +716,37 @@ class TestHeads:
         for name, grad in got.items():
             np.testing.assert_allclose(grad, params[name].grad, rtol=0, atol=1e-12, err_msg=name)
 
+    def test_node_loss_matches_full_pass_oracle(self):
+        """Loss and gradients equal one cross-entropy over the labeled nodes'
+        rows of the full top-down pass, on a batch with an unlabeled tree and
+        unlabeled nodes in the labeled trees."""
+        rng = np.random.default_rng(38)
+        trees = [random_tree(rng, n, 4, 12, 12) for n in (9, 5, 14, 1, 11)]
+        picks = [{0: 2, 7: 1}, None, {3: 4, 12: 0, 13: 3}, None, {10: 1}]
+        batch = [replace(t, node_labels=labels) for t, labels in zip(trees, picks)]
+        cfg = small_config(classify_classes=None, node_classes=5)
+        params = init_params(cfg, seed=39)
+        out = task_forward("node-classify", batch, params, cfg)
+        backward(out.loss)
+        got = {n: params[n].grad.copy() for n in params.names() if params[n].grad is not None}
+
+        params.zero_grads()
+        _, _, D, schedule = batch_state_tensors(batch, params, cfg)
+        pairs = [
+            (schedule.row_index[t][nid], label)
+            for t, tree in enumerate(batch)
+            for nid, label in sorted((tree.node_labels or {}).items())
+        ]
+        rows, labels = zip(*pairs)
+        logits = linear(gather_rows(D, list(rows)), params["head.node.w"], params["head.node.b"])
+        oracle = cross_entropy(logits, list(labels))
+        backward(oracle)
+        assert out.items == len(pairs) == 6
+        assert abs(out.loss.item() - oracle.item()) < 1e-12
+        assert got.keys() == {n for n in params.names() if params[n].grad is not None}
+        for name, grad in got.items():
+            np.testing.assert_allclose(grad, params[name].grad, rtol=0, atol=1e-12, err_msg=name)
+
     def test_classify_and_node_heads_shapes(self):
         rng = np.random.default_rng(34)
         trees = [random_tree(rng, n, 4, 12, 12) for n in (2, 5, 9)]

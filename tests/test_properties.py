@@ -138,6 +138,62 @@ def test_batched_matches_naive_in_float32(batch, d):
             assert np.abs(D.data[row] - naive.down[nid]).max() <= F32_ATOL
 
 
+@settings(max_examples=60, **SETTINGS)
+@given(st.lists(trees(max_nodes=60), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_top_down_on_read_rows_is_exact(batch, seed):
+    """With ``reads``, ``S_down`` has the full pass's bits at the read rows
+    and their ancestors and is ``S_up`` elsewhere; the gradients of a weighted
+    sum of the read rows match the full pass's within 1e-12; and reading
+    every row gives the full pass's bytes, states and gradients."""
+    cfg = ModelConfig(
+        d=8, heads=2, type_vocab_size=10, token_vocab_size=10,
+        max_children=MAX_CHILDREN, classify_classes=2,
+    )
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(seed)
+    index = build_schedule(batch).row_index
+    n = sum(map(len, index))
+    reads = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    parent_row = {
+        index[t][c]: index[t][nid]
+        for t, tree in enumerate(batch)
+        for nid, node in tree.nodes.items()
+        for c in node.children
+    }
+    marked = set()
+    for row in reads.tolist():
+        while row is not None and row not in marked:
+            marked.add(row)
+            row = parent_row.get(row)
+    marked = np.array(sorted(marked))
+    rest = np.setdiff1d(np.arange(n), marked)
+
+    def run(reads_arg, read_rows):
+        params.zero_grads()
+        _, S, D, _ = batch_state_tensors(batch, params, cfg, reads_arg)
+        weights = np.random.default_rng(seed).standard_normal((len(read_rows), cfg.d))
+        backward(gather_rows(D, read_rows), weights)
+        grads = {name: params[name].grad for name in params.names()}
+        return S.data, D.data, {k: v for k, v in grads.items() if v is not None}
+
+    S, D, grads = run(reads, reads)
+    full_S, full_D, full_grads = run(None, reads)
+    assert S.tobytes() == full_S.tobytes()
+    assert D[marked].tobytes() == full_D[marked].tobytes()
+    assert D[rest].tobytes() == S[rest].tobytes()
+    assert grads.keys() == full_grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, full_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    every = np.arange(n)
+    _, D, grads = run(every, every)
+    _, full_D, full_grads = run(None, every)
+    assert D.tobytes() == full_D.tobytes()
+    assert {k: v.tobytes() for k, v in grads.items()} == {
+        k: v.tobytes() for k, v in full_grads.items()
+    }
+
+
 def test_replaced_tree_gets_fresh_arrays():
     tree = random_tree(np.random.default_rng(1), 30, 4, 10, 10)
     (before,) = tree_arrays([tree])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,40 @@ class TestSerialization:
         }
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError):
+            load_trees(path, VOCAB)
+
+    @pytest.mark.parametrize("damage", [
+        # each raised a bare error naming neither file nor line
+        pytest.param(lambda obj: obj.update(label="x"), id="label-string"),
+        pytest.param(lambda obj: obj.update(label=[1]), id="label-list"),
+        pytest.param(lambda obj: obj.update(nodes=5), id="nodes-int"),
+        pytest.param(lambda obj: obj.update(node_labels=[1]), id="node-labels-list"),
+        pytest.param(lambda obj: obj.update(node_labels={"a": 1}), id="node-labels-key-a"),
+        # each loaded, coerced to an integer
+        pytest.param(lambda obj: obj.update(label=2.7), id="label-float"),
+        pytest.param(lambda obj: obj.update(label=True), id="label-bool"),
+        pytest.param(lambda obj: obj.update(root=0.9), id="root-float"),
+        pytest.param(lambda obj: obj.update(root="0"), id="root-string"),
+        pytest.param(lambda obj: obj["nodes"][1].update(id="1"), id="id-string"),
+        pytest.param(lambda obj: obj["nodes"][0].update(children=[1.2]), id="child-float"),
+        pytest.param(lambda obj: obj.update(node_labels={"1": 1.5}), id="node-label-float"),
+        pytest.param(lambda obj: obj.update(node_labels={"01": 1}), id="node-labels-key-01"),
+        # each loaded, and failed at the first encode without file or line
+        pytest.param(lambda obj: obj.update(node_labels={"5": 1}), id="node-labels-missing-node"),
+        pytest.param(lambda obj: obj.update(node_labels={"1": -1}), id="node-label-negative"),
+    ])
+    def test_mistyped_value_named_with_file_and_line(self, tmp_path, damage):
+        """Ids, children, the root and labels must be JSON integers and
+        node_labels keys canonical decimal strings: a float, string, bool or
+        list is a ParseError naming the file and line, never coerced. So is a
+        node label that is negative or names no node of the tree."""
+        obj = json.loads(tree_to_line(make_tree({0: [1]}, label=1), VOCAB))
+        obj["node_labels"] = {"1": 2}
+        damage(obj)
+        path = tmp_path / "bad.jsonl"
+        good = tree_to_line(make_tree({}), VOCAB)
+        path.write_text(good + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))} line 2: "):
             load_trees(path, VOCAB)
 
     def test_unknown_symbols_map_to_unknown(self, tmp_path):
