@@ -65,10 +65,9 @@ def full_model_gradcheck(
     heads: int = 2,
     seed: int = 1,
     eps: float = 1e-5,
-    config: ModelConfig | None = None,
 ) -> float:
     """Max relative gradient error of the full task loss, all parameter tensors."""
-    cfg = config if config is not None else _config(task, d, heads)
+    cfg = _config(task, d, heads)
     params = init_params(cfg, seed=seed, dtype="float64")
     batch = _batch(task, seed)
 

@@ -12,7 +12,15 @@ import json
 import os
 import sys
 
-ABLATIONS = ("pe", "fraternal", "fraternal-keep-pe", "topdown")
+# each --ablate name's model settings; every setting is False, so names
+# combine in any order. Without fraternal attention, position encoding adds
+# sinusoidal rows before parental attention, and "fraternal" drops them too.
+ABLATIONS = {
+    "pe": {"use_position_encoding": False},
+    "fraternal": {"use_fraternal_attention": False, "use_position_encoding": False},
+    "fraternal-keep-pe": {"use_fraternal_attention": False},
+    "topdown": {"use_top_down": False},
+}
 
 _TRAIN_DEFAULTS = {
     "dim": 256,
@@ -157,16 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_common(
         sub.add_parser("bench", help="attention-memory scaling report (CSV)"),
-        {"sizes": "100,200,400,800", "trees_per_size": 8, "max_children": 6,
-         "heads": 4, "seed": 0},
+        {"sizes": "100,200,400,800", "trees_per_size": 8, "max_children": 6, "seed": 0},
     )
     p.add_argument("--sizes", default=S, help="comma-separated mean tree sizes (default: 100,200,400,800)")
     p.add_argument("--trees-per-size", dest="trees_per_size", type=int, default=S,
                    help="trees per size point (default: 8)")
     p.add_argument("--max-children", dest="max_children", type=int, default=S,
                    help="branching bound (default: 6)")
-    p.add_argument("--heads", type=int, default=S,
-                   help="attention heads, for the allocated cells (default: 4)")
     p.add_argument("--seed", type=int, default=S, help="tree generator seed (default: 0)")
 
     p = _add_common(sub.add_parser("inspect", help="corpus statistics as JSON"), {})
@@ -224,26 +229,16 @@ def _cmd_synth_wrongop(opts, args):
     return 0
 
 
-def _apply_ablations(flags: list[str]) -> dict:
-    conf = {}
-    for flag in flags or []:
-        if flag == "pe":
-            conf["use_position_encoding"] = False
-        elif flag == "fraternal":
-            conf["use_fraternal_attention"] = False
-        elif flag == "fraternal-keep-pe":
-            conf["use_fraternal_attention"] = False
-            conf["pe_before_parental"] = True
-        elif flag == "topdown":
-            conf["use_top_down"] = False
-    return conf
-
-
 def _cmd_train(opts, args):
     from .synth import load_corpus
     from .training import TrainConfig, train
 
     ablate = opts["ablate"] or []
+    settings = {}
+    for name in ablate:
+        if name not in ABLATIONS:  # a name from a --config file
+            _fail("UsageError", f"unknown ablation {name!r}; expected one of {list(ABLATIONS)}")
+        settings.update(ABLATIONS[name])
     if "topdown" in ablate and args.task == "wrongop":
         sys.stderr.write(
             "note: without top-down propagation, operator leaves see no context "
@@ -263,7 +258,7 @@ def _cmd_train(opts, args):
         precision=opts["precision"],
         checkpoint_every=opts["checkpoint_every"],
         target={"accuracy": opts["target_accuracy"]} if opts["target_accuracy"] else None,
-        **_apply_ablations(ablate),
+        **settings,
     )
     corpus = load_corpus(_data_dir(args.train_dir))
     eval_corpus = load_corpus(_data_dir(args.eval_dir)) if getattr(args, "eval_dir", None) else None
@@ -316,21 +311,19 @@ def _cmd_bench(opts, args):
     from .scheduler import build_schedule, cost_report
     from .trees import random_tree
 
-    if opts["heads"] < 1:
-        _fail("UsageError", f"--heads needs an integer >= 1, got {opts['heads']}", code=2)
     sizes = [int(s) for s in str(opts["sizes"]).split(",") if s]
     rng = np.random.default_rng(opts["seed"])
-    print("mean_nodes,trees,attention_cells,full_attention_cells,ratio,allocated_cells,peak_cells")
+    print("mean_nodes,trees,attention_cells,full_attention_cells,ratio,peak_cells")
     for size in sizes:
         trees = [
             random_tree(rng, size, opts["max_children"], 8, 8)
             for _ in range(opts["trees_per_size"])
         ]
-        report = cost_report(build_schedule(trees), opts["heads"])
+        report = cost_report(build_schedule(trees))
         ratio = report.full_attention_cells / report.attention_cells
         print(
             f"{size},{len(trees)},{report.attention_cells},{report.full_attention_cells},"
-            f"{ratio:.4f},{report.allocated_cells},{report.peak_cells}"
+            f"{ratio:.4f},{report.peak_cells}"
         )
     return 0
 

@@ -60,6 +60,7 @@ TOKEN_SYMBOLS = OPS_MINI + ["(", ")"] + INT_BUCKETS + IDENT_POOL
 
 MINI_VOCAB = Vocabulary(TYPE_SYMBOLS, TOKEN_SYMBOLS)
 
+# a wrongop pointer candidate is a leaf of this type
 OPERATOR_TYPE_ID = MINI_VOCAB.type_id("binop-operator")
 
 
@@ -342,16 +343,15 @@ def parse(source: str) -> SyntaxTree:
     return tree
 
 
-def operator_nodes(tree: SyntaxTree, vocab: Vocabulary = MINI_VOCAB) -> list[int]:
+def operator_nodes(tree: SyntaxTree) -> list[int]:
     """Ids of binary-operator leaves, ascending; the pointer-candidate set."""
-    op_type = vocab.type_id("binop-operator")
-    return sorted(n.id for n in tree.nodes.values() if n.type_id == op_type)
+    return sorted(n.id for n in tree.nodes.values() if n.type_id == OPERATOR_TYPE_ID)
 
 
-def operator_class(tree: SyntaxTree, node_id: int, vocab: Vocabulary = MINI_VOCAB) -> int:
+def operator_class(tree: SyntaxTree, node_id: int) -> int:
     """Class index (into OPS_MINI) of the operator held by an operator leaf."""
     node = tree.node(node_id)
-    symbol = None if node.token_id is None else vocab.token_symbol(node.token_id)
+    symbol = None if node.token_id is None else MINI_VOCAB.token_symbol(node.token_id)
     if symbol not in OP_INDEX:
         raise ValueError(f"node {node_id} does not carry a known operator token")
     return OP_INDEX[symbol]

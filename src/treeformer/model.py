@@ -63,7 +63,10 @@ class ModelConfig:
     """Dimensions, vocabulary sizes, ablation switches, and the task head.
 
     Exactly one of ``classify_classes`` / ``operator_classes`` /
-    ``node_classes`` must be set; it selects the head and the task.
+    ``node_classes`` must be set; it selects the head and the task. Sibling
+    positions enter through fraternal attention's position scores or, with
+    fraternal attention off, as sinusoidal rows added to the children's
+    states before parental attention.
     """
 
     d: int
@@ -77,7 +80,6 @@ class ModelConfig:
     node_classes: int | None = None
     use_position_encoding: bool = True
     use_fraternal_attention: bool = True
-    pe_before_parental: bool = False
     use_top_down: bool = True
 
     def __post_init__(self):
@@ -144,17 +146,17 @@ class NodeStates:
 
 
 @functools.cache
-def sinusoidal_rows(n: int, d: int, base: float = 100.0) -> np.ndarray:
+def sinusoidal_rows(n: int, d: int) -> np.ndarray:
     """Fixed position table: interleaved sines/cosines over geometric frequencies.
 
-    The frequency base is kept small: sibling positions only span a couple of
-    dozen slots, and a large base would leave the low-frequency columns
-    effectively constant over that range. The model reads it at
+    The frequency base is 100, kept small: sibling positions only span a
+    couple of dozen slots, and a large base would leave the low-frequency
+    columns effectively constant over that range. The model reads it at
     ``(max_children, d)``; it is computed once per shape and read-only.
     """
     pos = np.arange(n, dtype=np.float64)[:, None]
     idx = np.arange(d, dtype=np.float64)[None, :]
-    angles = pos / np.power(base, (2.0 * np.floor(idx / 2.0)) / d)
+    angles = pos / np.power(100.0, (2.0 * np.floor(idx / 2.0)) / d)
     table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
     table.flags.writeable = False
     return table
@@ -308,7 +310,7 @@ def bottom_up_step(
     if config.use_fraternal_attention:
         frat = fraternal_attention(H, blocks, params, config)
         H = _add_ln(frat, H, params, "up.ln_frat")
-    elif config.pe_before_parental:
+    elif config.use_position_encoding:
         slots = np.concatenate([np.tile(np.arange(w), n) for w, n in blocks])
         table = sinusoidal_rows(config.max_children, config.d)
         H = add(H, constant(table[slots], params.dtype))

@@ -220,24 +220,23 @@ def check_schedule(schedule: Schedule, batch: list[SyntaxTree]) -> None:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Sibling-attention score cells of a schedule against whole-tree attention.
+    """Sibling-attention score cells of a schedule against whole-tree
+    attention, per head.
 
-    ``attention_cells`` is k^2 per node with k children, per head;
-    ``full_attention_cells`` is N^2 per tree of N nodes. ``allocated_cells``
-    counts what the bottom-up buckets allocate, B * heads * w^2 for B parents
-    of w children, which is heads * ``attention_cells`` since no slot is
-    padded; ``peak_cells`` is the largest single bucket's.
+    ``attention_cells`` is k^2 per node with k children;
+    ``full_attention_cells`` is N^2 per tree of N nodes. A bottom-up bucket of
+    B parents with w children each scores B * w^2 cells, with no slot padded;
+    ``peak_cells`` is the largest single bucket's.
     """
 
     attention_cells: int
     full_attention_cells: int
-    allocated_cells: int
     peak_cells: int
 
 
-def cost_report(schedule: Schedule, heads: int) -> CostReport:
+def cost_report(schedule: Schedule) -> CostReport:
     """Score cells of the sibling attention that ``schedule`` runs, read from its arrays."""
     shapes = [b.child_rows.shape for group in schedule.bottom_up_levels for b in group.buckets]
     cells = [n * w * w for n, w in shapes]
     full = sum(len(index) ** 2 for index in schedule.row_index)
-    return CostReport(sum(cells), full, heads * sum(cells), heads * max(cells, default=0))
+    return CostReport(sum(cells), full, max(cells, default=0))

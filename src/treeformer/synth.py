@@ -21,6 +21,7 @@ from .numerics import _replace_atomically
 from .trees import (
     SyntaxTree,
     Vocabulary,
+    iter_json_lines,
     iter_tree_lines,
     tree_digest,
     tree_from_obj,
@@ -31,17 +32,6 @@ from .trees import (
 GENERATOR_VERSION = "1"
 
 N_CLASS_TEMPLATES = 8
-
-CLASS_TEMPLATE_NAMES = [
-    "sum-loop",
-    "product-loop",
-    "running-max",
-    "running-min",
-    "parity-count",
-    "linear-search",
-    "nested-pair-count",
-    "iterative-recurrence",
-]
 
 
 class TooFewOperators(ValueError):
@@ -437,13 +427,9 @@ def _write_corpus(out_dir, task: str, lines: list[str], seed: int, extra: dict) 
     _replace_atomically(os.path.join(out_dir, "meta.json"), text.encode("utf-8"))
 
 
-def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> MutationRecord:
-    """One wrongop corpus line; a bad line raises ValueError naming the file and line."""
+def _record_from_obj(obj, path: str, lineno: int) -> MutationRecord:
+    """One wrongop corpus line's value; a bad one raises ValueError naming the file and line."""
     where = f"{path} line {lineno}"
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}: bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("mutation"), dict):
         raise ValueError(f"{where}: no mutation object")
     mut = obj.pop("mutation")
@@ -455,13 +441,13 @@ def _record_from_line(raw: str, vocab: Vocabulary, path: str, lineno: int) -> Mu
         )
     target, original, corrupted = (mut[key] for key in keys)
     source_hash = mut["source_hash"]
-    tree = tree_from_obj(obj, vocab, lineno, path)
-    if target not in operator_nodes(tree, vocab):
+    tree = tree_from_obj(obj, MINI_VOCAB, lineno, path)
+    if target not in operator_nodes(tree):
         raise ValueError(f"{where}: target_node {target} is not an operator leaf")
     if not 0 <= original < len(OPS_MINI):
         raise ValueError(f"{where}: original_op {original} outside the {len(OPS_MINI)} operators")
     try:
-        held = minilang.operator_class(tree, target, vocab)
+        held = minilang.operator_class(tree, target)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
     if corrupted != held or corrupted == original:
@@ -477,7 +463,8 @@ def load_corpus(corpus_dir) -> Corpus:
     naming an unknown task, whose vocabulary is not an object with ``types``
     and ``tokens`` lists of strings, whose ``classes`` or ``node_classes`` is
     present but not a JSON integer >= 1, or, for wrongop, whose ``operators``
-    is not ``OPS_MINI``, is a ValueError naming the file."""
+    is not ``OPS_MINI`` or whose vocabulary is not ``MINI_VOCAB``, is a
+    ValueError naming the file."""
     meta_path = os.path.join(corpus_dir, "meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -508,11 +495,17 @@ def load_corpus(corpus_dir) -> Corpus:
     if task == "wrongop":
         if meta.get("operators") != list(OPS_MINI):
             raise ValueError(f"{meta_path}: 'operators' is not the operator list {OPS_MINI}")
-        with open(trees_path, "r", encoding="utf-8") as fh:
-            records = [
-                _record_from_line(raw, vocab, trees_path, lineno)
-                for lineno, raw in enumerate(fh, start=1)
-            ]
+        # the task head finds candidates and operators by the mini-language's ids
+        if vocab != MINI_VOCAB:
+            raise ValueError(f"{meta_path}: 'vocabulary' is not the mini-language vocabulary")
+
+        def bad_json(lineno, exc):
+            return ValueError(f"{trees_path} line {lineno}: bad JSON: {exc}")
+
+        records = [
+            _record_from_obj(obj, trees_path, lineno)
+            for lineno, obj in iter_json_lines(trees_path, bad_json)
+        ]
         return Corpus(task, [r.tree for r in records], records, vocab, meta)
     trees = list(iter_tree_lines(trees_path, vocab))
     return Corpus(task, trees, None, vocab, meta)

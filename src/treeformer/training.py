@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .batched import batch_state_tensors
-from .minilang import MINI_VOCAB
+from .minilang import OPERATOR_TYPE_ID
 from .model import ModelConfig, init_params
 from .numerics import (
     CheckpointError,
@@ -71,7 +71,6 @@ class TrainConfig:
     precision: str = "float32"
     use_position_encoding: bool = True
     use_fraternal_attention: bool = True
-    pe_before_parental: bool = False
     use_top_down: bool = True
     checkpoint_every: int = 0  # epochs between checkpoints; 0 = final only
     target: dict | None = None  # e.g. {"accuracy": 0.95}: stop once all reached
@@ -213,7 +212,6 @@ def model_config_for(config: TrainConfig, corpus: Corpus) -> ModelConfig:
         ffn_hidden=config.ffn_hidden,
         use_position_encoding=config.use_position_encoding,
         use_fraternal_attention=config.use_fraternal_attention,
-        pe_before_parental=config.pe_before_parental,
         use_top_down=config.use_top_down,
         **head,
     )
@@ -278,8 +276,7 @@ def task_forward(task: str, batch: list, params: ParamStore, cfg: ModelConfig) -
     ids = np.concatenate([a.ids for a in arrays])
     if task == "wrongop":
         # the candidates of minilang.operator_nodes, one row per real candidate
-        op_type = MINI_VOCAB.type_id("binop-operator")
-        rows = np.flatnonzero(np.concatenate([a.type_id for a in arrays]) == op_type)
+        rows = np.flatnonzero(np.concatenate([a.type_id for a in arrays]) == OPERATOR_TYPE_ID)
         _, _, D, _ = batch_state_tensors(trees, params, cfg, rows)
         sizes = np.bincount(tree_of[rows], minlength=len(trees))
         ends = np.cumsum(sizes)

@@ -488,9 +488,9 @@ def save_trees(trees: Iterable[SyntaxTree], path, vocab: Vocabulary) -> None:
     _replace_atomically(os.fspath(path), text.encode("utf-8"))
 
 
-def iter_tree_lines(path, vocab: Vocabulary) -> Iterator[SyntaxTree]:
-    """The trees of a JSON-lines file; a bad line's error names the file and line."""
-    path = os.fspath(path)
+def iter_json_lines(path, bad_json) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each non-blank line of a JSON-lines file; a
+    line that is not JSON raises ``bad_json(lineno, exc)``."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -499,11 +499,19 @@ def iter_tree_lines(path, vocab: Vocabulary) -> Iterator[SyntaxTree]:
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
-                raise ParseError(str(exc), lineno, path) from exc
-            try:
-                yield tree_from_obj(obj, vocab, lineno, path)
-            except ValidationError as exc:
-                raise type(exc)(f"{path} line {lineno}: {exc}") from exc
+                raise bad_json(lineno, exc) from exc
+            yield lineno, obj
+
+
+def iter_tree_lines(path, vocab: Vocabulary) -> Iterator[SyntaxTree]:
+    """The trees of a JSON-lines file; a bad line's error names the file and line."""
+    path = os.fspath(path)
+    lines = iter_json_lines(path, lambda lineno, exc: ParseError(str(exc), lineno, path))
+    for lineno, obj in lines:
+        try:
+            yield tree_from_obj(obj, vocab, lineno, path)
+        except ValidationError as exc:
+            raise type(exc)(f"{path} line {lineno}: {exc}") from exc
 
 
 def load_trees(path, vocab: Vocabulary) -> list[SyntaxTree]:

@@ -1,7 +1,15 @@
+import itertools
+
 import numpy as np
 
 from treeformer import numerics as nm
 from treeformer.trees import SyntaxNode, SyntaxTree, preorder
+
+# every setting of the three model-part switches, all on first: 8 distinct models
+SWITCHES = [
+    dict(zip(("use_position_encoding", "use_fraternal_attention", "use_top_down"), on))
+    for on in itertools.product([True, False], repeat=3)
+]
 
 
 def weighted_sum(y, weights=None):

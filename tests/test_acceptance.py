@@ -15,6 +15,7 @@ import pytest
 from treeformer.batched import batch_state_tensors, encode_batch
 from treeformer.checks import _batch as checks_batch
 from treeformer.checks import full_model_gradcheck
+from treeformer.cli import ABLATIONS
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes
 from treeformer.model import (
     ModelConfig,
@@ -313,7 +314,7 @@ def test_criterion_6_memory_scaling():
         batch = [random_tree(rng, size, 6, 8, 8) for _ in range(8)]
         cells = sum(len(node.children) ** 2 for tree in batch for node in tree.nodes.values())
         full = sum(len(tree) ** 2 for tree in batch)
-        got = cost_report(build_schedule(batch), heads=4)
+        got = cost_report(build_schedule(batch))
         exact = exact and (got.attention_cells, got.full_attention_cells) == (cells, full)
         ratios.append(full / cells)
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -360,17 +361,12 @@ def test_criterion_8_synthetic_wrongop(wrongop_setup, wrongop_run):
 
 
 def test_criterion_9_ablation_reachability(wrongop_setup):
-    """All four component ablations train on the wrongop corpus; no-top-down
-    keeps the equal-symbol-equal-logit property on operator leaves."""
+    """All four component ablations, with the settings ``--ablate`` gives them,
+    train on the wrongop corpus; no-top-down keeps the equal-symbol-equal-logit
+    property on operator leaves."""
     train_c, test_c = wrongop_setup
-    variants = {
-        "pe": {"use_position_encoding": False},
-        "fraternal": {"use_fraternal_attention": False},
-        "fraternal-keep-pe": {"use_fraternal_attention": False, "pe_before_parental": True},
-        "topdown": {"use_top_down": False},
-    }
     trained = {}
-    for name, flags in variants.items():
+    for name, flags in ABLATIONS.items():
         config = TrainConfig(
             task="wrongop", d=64, heads=4, epochs=1, batch_size=32, seed=0,
             precision="float64", **flags,

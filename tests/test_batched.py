@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import chain, make_tree, star, weighted_sum
+from conftest import SWITCHES, chain, make_tree, star, weighted_sum
 from treeformer.batched import batch_state_tensors, encode_batch
 from treeformer.model import ModelConfig, encode_tree, init_params, naive_state_tensors
 from treeformer.numerics import add, backward, concat, constant
@@ -43,15 +43,7 @@ class TestEquivalence:
             naive = encode_tree(tree, params, cfg, method="naive")
             assert max_state_diff(naive, got) <= 1e-10
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            {"use_position_encoding": False},
-            {"use_fraternal_attention": False},
-            {"use_fraternal_attention": False, "pe_before_parental": True},
-            {"use_top_down": False},
-        ],
-    )
+    @pytest.mark.parametrize("flags", SWITCHES)
     def test_matches_naive_under_ablations(self, flags):
         cfg = config(**flags)
         params = init_params(cfg, seed=3)
@@ -93,7 +85,7 @@ def _param_grads(params, loss):
 class TestGradientOracle:
     """Parameter gradients through the batched levels equal the naive recursion's."""
 
-    @pytest.mark.parametrize("flags", [{}, {"use_top_down": False}])
+    @pytest.mark.parametrize("flags", SWITCHES)
     def test_matches_naive_gradients(self, flags):
         cfg = config(max_children=16, **flags)
         params = init_params(cfg, seed=11)

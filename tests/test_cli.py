@@ -159,6 +159,38 @@ class TestTrainEvalCommands:
         assert manifest["train_config"]["use_position_encoding"] is False
         assert manifest["train_config"]["use_top_down"] is False
 
+    @pytest.mark.parametrize("names", [
+        ("pe", "fraternal-keep-pe"), ("fraternal-keep-pe", "pe"), ("fraternal", "pe"),
+    ])
+    def test_ablations_combine_as_their_settings(self, capsys, tmp_path, corpus_dir, names):
+        """PE off and fraternal attention off is one model, however it is named:
+        ``--ablate pe --ablate fraternal-keep-pe`` added position rows."""
+        runs = {"want": ("pe", "fraternal"), "got": names}
+        for out_name, pair in runs.items():
+            extra = [arg for name in pair for arg in ("--ablate", name)]
+            assert self._train(capsys, tmp_path, out_name, "--epochs", "1", *extra)[0] == 0
+        blobs, configs = [], []
+        for out_dir in (tmp_path / "want", tmp_path / "got"):
+            blobs.append((out_dir / "checkpoint.json.bin").read_bytes())
+            manifest = json.loads((out_dir / "run_manifest.json").read_text())
+            configs.append(manifest["model_config"])
+        assert blobs[0] == blobs[1] and configs[0] == configs[1]
+
+    def test_unknown_ablation_in_config_file_rejected(self, capsys, tmp_path, corpus_dir):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"ablate": ["pe", "nonsense"]}))
+        code, _, err = run_fail(
+            capsys, "train", "--task", "classify", "--train", str(tmp_path / "corpus"),
+            "--out", str(tmp_path / "rx"), "--config", str(conf),
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "UsageError",
+            "message": "unknown ablation 'nonsense'; expected one of"
+            " ['pe', 'fraternal', 'fraternal-keep-pe', 'topdown']",
+        }
+        assert not (tmp_path / "rx").exists()
+
     def test_config_file_with_cli_precedence(self, capsys, tmp_path, corpus_dir):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"epochs": 1, "dim": 8, "heads": 2, "seed": 9,
@@ -238,19 +270,15 @@ class TestGradcheckCommand:
 
 class TestBenchCommand:
     def test_csv_shape(self, capsys):
-        code, out, _ = run(capsys, "bench", "--sizes", "30,60", "--trees-per-size", "2",
-                           "--heads", "2")
+        code, out, _ = run(capsys, "bench", "--sizes", "30,60", "--trees-per-size", "2")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].startswith("mean_nodes,")
+        assert lines[0] == "mean_nodes,trees,attention_cells,full_attention_cells,ratio,peak_cells"
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "30"
-        # every head allocates each real cell, and no padded one
-        header = lines[0].split(",")
-        row = dict(zip(header, first))
-        assert int(row["allocated_cells"]) >= 2 * int(row["attention_cells"])
-        assert int(row["allocated_cells"]) >= int(row["peak_cells"]) > 0
+        row = dict(zip(lines[0].split(","), first))
+        assert int(row["attention_cells"]) >= int(row["peak_cells"]) > 0
 
 
 class TestInspectCommand:

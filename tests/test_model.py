@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain, make_tree, weighted_sum
+from conftest import SWITCHES, chain, make_tree, weighted_sum
 from treeformer.batched import batch_state_tensors
 from treeformer.minilang import MINI_VOCAB, OPS_MINI, operator_nodes, parse
 from treeformer.model import (
@@ -339,9 +339,7 @@ class TestBottomUpStep:
         with pytest.raises(BranchingOverflow, match="4 children exceed max_children=3"):
             bottom_up_step(constant(e), constant(H), one_parent(H), params, cfg)
 
-    @pytest.mark.parametrize(
-        "flags", [{}, {"use_fraternal_attention": False, "pe_before_parental": True}]
-    )
+    @pytest.mark.parametrize("flags", [f for f in SWITCHES if f["use_top_down"]])
     def test_level_of_blocks_matches_per_parent_calls(self, flags):
         """One call over blocks of different widths equals one call per parent."""
         cfg = small_config(**flags)
@@ -476,7 +474,7 @@ class TestOrderSensitivity:
 
 class TestAblations:
     def test_no_fraternal_reduces_to_identity_stage(self):
-        cfg = small_config(use_fraternal_attention=False)
+        cfg = small_config(use_fraternal_attention=False, use_position_encoding=False)
         params = init_params(cfg, seed=20)
         rng = np.random.default_rng(11)
         e = rng.standard_normal((1, cfg.d))
@@ -494,8 +492,8 @@ class TestAblations:
         )
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
-    def test_pe_before_parental_adds_position_rows(self):
-        cfg = small_config(use_fraternal_attention=False, pe_before_parental=True)
+    def test_no_fraternal_adds_position_rows(self):
+        cfg = small_config(use_fraternal_attention=False)
         params = init_params(cfg, seed=21)
         rng = np.random.default_rng(12)
         e = rng.standard_normal((1, cfg.d))
@@ -515,14 +513,10 @@ class TestAblations:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_all_variants_encode(self):
-        variants = [
-            {"use_position_encoding": False},
-            {"use_fraternal_attention": False},
-            {"use_fraternal_attention": False, "pe_before_parental": True},
-            {"use_top_down": False},
-        ]
+        """Each setting of the three switches encodes, and no two alike."""
         tree = parse("s = 0; while (s < 5) { s = s + 1; }")
-        for flags in variants:
+        encodings = set()
+        for flags in SWITCHES:
             cfg = ModelConfig(
                 d=8, heads=2, type_vocab_size=MINI_VOCAB.n_types,
                 token_vocab_size=MINI_VOCAB.n_tokens, max_children=8,
@@ -531,6 +525,9 @@ class TestAblations:
             params = init_params(cfg, seed=22)
             states = encode_tree(tree, params, cfg)
             assert len(states.down) == len(tree)
+            down = np.concatenate([states.down[nid] for nid in sorted(tree.nodes)])
+            encodings.add(down.tobytes())
+        assert len(encodings) == len(SWITCHES)
 
 
 class TestGlobalContext:
@@ -797,7 +794,7 @@ class TestConfig:
         ("ffn_hidden", 2.5, "an integer"),
         ("classify_classes", "3", "an integer"),
         ("use_top_down", "no", "True or False"),
-        ("pe_before_parental", 0, "True or False"),
+        ("use_fraternal_attention", 0, "True or False"),
     ])
     def test_field_type_named(self, field, value, message):
         """A string size raised a bare TypeError from ``<``, a float ``d`` failed

@@ -15,27 +15,33 @@ def test_every_lazy_export_resolves():
 
 
 def test_every_public_name_has_a_caller():
-    """Each public top-level function and class of ``src/treeformer``, and each
-    public method of a public class, is used (called, passed or read as a
-    ``Name`` or ``Attribute``, not just defined or imported) somewhere in
-    ``src/``, ``perfbench/`` or ``demos/``, or is a lazy export of the
-    package. Each public function of ``numerics`` is used in that code itself."""
+    """Each public top-level function, class and constant of ``src/treeformer``,
+    and each public method of a public class, is read (called, passed or
+    loaded as a ``Name`` or ``Attribute``, not just defined, assigned or
+    imported) somewhere in ``src/``, ``perfbench/`` or ``demos/``, or is a
+    lazy export of the package. Each public function of ``numerics`` is used
+    in that code itself."""
     public = set()
     for path in (ROOT / "src" / "treeformer").glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
-                public.add(f"{path.stem}.{top.name}")
-                if isinstance(top, ast.ClassDef):
-                    public |= {
-                        f"{path.stem}.{top.name}.{item.name}" for item in top.body
-                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-                    }
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, ast.Assign):
+                names = [t.id for t in top.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            public |= {f"{path.stem}.{name}" for name in names if not name.startswith("_")}
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                public |= {
+                    f"{path.stem}.{top.name}.{item.name}" for item in top.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                }
     used = set()
     for path in (p for d in ("src", "perfbench", "demos") for p in (ROOT / d).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     unused = {name for name in public if name.rsplit(".", 1)[-1] not in used}
     assert sorted(unused - {f"{m}.{name}" for name, m in treeformer._EXPORTS.items()}) == []

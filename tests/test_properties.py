@@ -81,7 +81,7 @@ def test_schedule_passes_check_and_arrays_match_traversals(batch):
     schedule = build_schedule(batch)
     check_schedule(schedule, batch)
     cells = sum(len(n.children) ** 2 for tree in batch for n in tree.nodes.values())
-    assert cost_report(schedule, heads=2).attention_cells == cells
+    assert cost_report(schedule).attention_cells == cells
     rows = [(t, nid) for t, tree in enumerate(batch) for nid in sorted(tree.nodes)]
     assert [schedule.node_at(row) for row in range(schedule.n_rows)] == rows
     for tree, arrays in zip(batch, tree_arrays(batch)):

@@ -340,20 +340,19 @@ class TestCheckTopDown:
 class TestCostReport:
     def test_star_closed_form(self):
         k = 7
-        report = cost_report(build_schedule([star(k)]), heads=3)
+        report = cost_report(build_schedule([star(k)]))
         assert report.attention_cells == k * k
         assert report.full_attention_cells == (k + 1) ** 2
         # one parent of 7 children, no padded slot
-        assert report.allocated_cells == report.peak_cells == 3 * 7 * 7
+        assert report.peak_cells == 7 * 7
 
     def test_chain_closed_form(self):
         n = 9
-        report = cost_report(build_schedule([chain(n)]), heads=3)
+        report = cost_report(build_schedule([chain(n)]))
         assert report.attention_cells == n - 1
         assert report.full_attention_cells == n * n
         # one width-1 bucket per level
-        assert report.allocated_cells == 3 * (n - 1)
-        assert report.peak_cells == 3
+        assert report.peak_cells == 1
 
     def test_ratio_grows_linearly_with_tree_size(self):
         rng = np.random.default_rng(2)
@@ -361,7 +360,7 @@ class TestCostReport:
         ratios = []
         for size in sizes:
             batch = [random_tree(rng, size, 4, 3, 3) for _ in range(8)]
-            report = cost_report(build_schedule(batch), heads=4)
+            report = cost_report(build_schedule(batch))
             ratios.append(report.full_attention_cells / report.attention_cells)
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         slope = np.polyfit(np.log(sizes), np.log(ratios), 1)[0]

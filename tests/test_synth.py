@@ -197,13 +197,16 @@ class TestCorpusIO:
         (lambda meta: meta.pop("operators"), "'operators' is not the operator list"),
         (lambda meta: meta.update(operators=["+", "-"]), "'operators' is not the operator list"),
         (lambda meta: meta.update(operators=5), "'operators' is not the operator list"),
+        (lambda meta: meta["vocabulary"]["types"].reverse(),
+         "'vocabulary' is not the mini-language vocabulary"),
     ], ids=["no-task", "no-vocabulary", "unknown-task", "vocabulary-not-object",
             "vocabulary-no-types", "vocabulary-tokens-not-list", "no-operators",
-            "operators-too-few", "operators-not-list"])
+            "operators-too-few", "operators-not-list", "vocabulary-permuted"])
     def test_bad_meta_named(self, tmp_path, edit, message):
         """A missing key raised a bare KeyError, an unknown task loaded, a
         malformed vocabulary raised a bare TypeError or KeyError, or loaded, and
-        a wrong operator list loaded and failed in training."""
+        a wrong operator list or a permuted vocabulary loaded and failed in
+        training."""
         save_wrongop_corpus(tmp_path / "c", gen_wrongop_corpus(2, 2, seed=1), seed=1)
         path = tmp_path / "c" / "meta.json"
         meta = json.loads(path.read_text())
@@ -236,6 +239,19 @@ class TestCorpusIO:
         lines[1] = edit(obj)
         path.write_text("\n".join(lines) + "\n")
         return tmp_path / "w"
+
+    @pytest.mark.parametrize("task", ["classify", "wrongop"])
+    def test_blank_lines_skipped(self, tmp_path, task):
+        """A blank line in a wrongop trees.jsonl raised "bad JSON"."""
+        if task == "classify":
+            save_classify_corpus(tmp_path / "c", gen_classify_corpus(2, 2, seed=1), seed=1)
+        else:
+            save_wrongop_corpus(tmp_path / "c", gen_wrongop_corpus(3, 2, seed=3), seed=3)
+        want = load_corpus(tmp_path / "c")
+        path = tmp_path / "c" / "trees.jsonl"
+        path.write_text("\n" + "\n \t\n".join(path.read_text().splitlines()) + "\n\n")
+        got = load_corpus(tmp_path / "c")
+        assert (got.trees, got.records) == (want.trees, want.records)
 
     def test_wrongop_bad_json_named(self, tmp_path):
         corpus_dir = self._corrupt_line_2(tmp_path, lambda obj: json.dumps(obj)[:-5])
